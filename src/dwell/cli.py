@@ -6,7 +6,15 @@ Output contract: CSV uses comma separators, '.' decimals, an LF-terminated
 header row, and 9-significant-digit numbers; JSON carries full binary64
 round-trip precision.  Identical configuration produces byte-identical
 output.  Non-fatal findings travel as structured records (warning /
-discrepancy / info); the exit code is 0 iff no error record was produced.
+discrepancy / info).
+
+Exit codes, one per channel:
+  0  output written, no error record;
+  1  output written with an error record (a solver failure, a failed sweep
+     row or oracle check), or nothing written and an 'error: ValueError: ...'
+     line on stderr (invalid well, grid or environment parameters);
+  2  nothing written and a 'config error: ...' line on stderr (bad flag
+     value or config file), or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -23,8 +31,9 @@ import numpy as np
 
 from . import density as density_mod
 from . import thermal as thermal_mod
-from .dynamics import HarmonicDrive, TwoLevelSystem, rabi_localized, rabi_off_resonance, x_expectation
-from .errors import ConfigError, DwellError
+from .dynamics import (HarmonicDrive, TwoLevelSystem, flip_flop, rabi_localized,
+                       rabi_off_resonance, x_expectation)
+from .errors import AmbiguousPurity, ConfigError, DwellError
 from .grid_oracle import build_grid_hamiltonian, lowest_eigenvalues
 from .spectrum import find_b_for_gap, gap_sweep, solve_below_barrier
 from .units import CODATA_CONSTANTS, PhysicalConstants, WellSpec, constants_from_env, to_dimensionless
@@ -41,17 +50,6 @@ TABLE1_B_VALUES = tuple(b * 1e-9 for b in
 TABLE1_K = 2e-24
 TABLE1_WELL = WellSpec(a=1e-6, b=TABLE1_B_VALUES[0], k=TABLE1_K,
                        m=CODATA_CONSTANTS.m_e, constants=CODATA_CONSTANTS)
-
-# published cells the table is checked against: (dE J, tau s) per row
-_REPORTED_GAP_TAU = (
-    (6.3e-28, 1.0e-6),
-    (3.5e-28, 2.9e-6),
-    (1.7e-28, 3.8e-6),
-    (0.77e-28, 8.6e-6),
-    (0.30e-28, 22.0e-6),
-    (0.10e-28, 66.0e-6),
-    (2.7e-30, 240e-6),
-)
 
 _UNIT_TABLES = {
     "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6,
@@ -108,12 +106,25 @@ class RunConfig:
         return WellSpec(self.a, self.b, self.k, mass, self.constants)
 
 
-_CONFIG_KINDS = {
-    "a": "length", "b": "length", "k": "energy", "m": "mass",
-    "t_max": "time", "delta": "energy", "drive_amp": "energy",
-    "drive_omega": "frequency",
+# The run options: config key -> (kind, flag help).  The kind is a unit
+# table name, "int", "bool", "text" or a tuple of allowed values.  Each key
+# is a config-file key and the flag --key (underscores as dashes), added to
+# the parser in this order.
+_OPTIONS = {
+    "format": (("csv", "json"), None),
+    "out": ("text", "output path (default stdout)"),
+    "oracle": ("bool", "cross-check spectra against the grid solver"),
+    "grid_n": ("int", "grid cells"),
+    "a": ("length", "valley width, e.g. 1um"),
+    "b": ("length", "barrier half-width, e.g. 100nm; comma list for gap-sweep"),
+    "k": ("energy", "barrier height, e.g. 2e-24J"),
+    "m": ("mass", "mass, e.g. 9.1e-31kg"),
+    "t_max": ("time", "trace length, e.g. 2us"),
+    "t_steps": ("int", "trace samples"),
+    "delta": ("energy", "gap target for gap-sweep"),
+    "drive_amp": ("energy", "drive amplitude (J)"),
+    "drive_omega": ("frequency", "drive angular frequency (rad/s)"),
 }
-_CONFIG_KEYS = set(_CONFIG_KINDS) | {"format", "out", "oracle", "grid_n", "t_steps"}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -129,34 +140,31 @@ def load_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value.strip()
     return raw
 
 
 def _coerce(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig:
+    kind = _OPTIONS[key][0]
     if key == "b" and "," in value:
-        values = tuple(parse_quantity(v, "length", where) for v in value.split(","))
+        values = tuple(parse_quantity(v, kind, where) for v in value.split(","))
         return replace(cfg, b=values[0], b_values=values)
-    if key in _CONFIG_KINDS:
-        return replace(cfg, **{key: parse_quantity(value, _CONFIG_KINDS[key], where)})
-    if key == "format":
-        if value not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {value!r}{where}")
-        return replace(cfg, format=value)
-    if key == "out":
-        return replace(cfg, out=value)
-    if key == "oracle":
+    if kind in _UNIT_TABLES:
+        return replace(cfg, **{key: parse_quantity(value, kind, where)})
+    if isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(f"{key} must be {' or '.join(kind)}, got {value!r}{where}")
+    if kind == "bool":
         if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
-            raise ConfigError(f"oracle must be boolean, got {value!r}{where}")
-        return replace(cfg, oracle=value.lower() in ("true", "1", "yes"))
-    if key in ("grid_n", "t_steps"):
+            raise ConfigError(f"{key} must be boolean, got {value!r}{where}")
+        return replace(cfg, **{key: value.lower() in ("true", "1", "yes")})
+    if kind == "int":
         try:
             return replace(cfg, **{key: int(value)})
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {value!r}{where}") from None
-    raise ConfigError(f"unknown key {key!r}{where}")
+    return replace(cfg, **{key: value})
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -164,23 +172,25 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         for key, value in load_config_file(args.config).items():
             cfg = _coerce(cfg, key, value, f" (in {args.config})")
-    flag_map = {
-        "a": args.a, "b": args.b, "k": args.k, "m": args.m,
-        "format": args.format, "out": args.out,
-        "grid_n": args.grid_n, "t_max": args.t_max, "t_steps": args.t_steps,
-        "delta": args.delta, "drive_amp": args.drive_amp,
-        "drive_omega": args.drive_omega,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
+    for key in _OPTIONS:
+        value = getattr(args, key)
+        if value is not None and value is not False:  # False: --oracle not given
             cfg = _coerce(cfg, key, str(value), " (flag)")
-    if args.oracle:
-        cfg = replace(cfg, oracle=True)
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # output assembly
+
+
+@dataclass
+class Report:
+    """What one command emits: its columns, then data rows and records."""
+
+    command: str
+    columns: list[str] = field(default_factory=list)
+    rows: list[list] = field(default_factory=list)
+    records: list[dict] = field(default_factory=list)
 
 
 def _fmt_cell(value) -> str:
@@ -195,24 +205,23 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def emit(command: str, columns: list[str], rows: list[list], records: list[dict],
-         cfg: RunConfig) -> int:
+def emit(report: Report, cfg: RunConfig) -> int:
     if cfg.format == "json":
-        payload = {"command": command, "columns": columns,
+        payload = {"command": report.command, "columns": report.columns,
                    "rows": [[(None if isinstance(v, float) and math.isnan(v) else v)
-                             for v in row] for row in rows],
-                   "records": records}
+                             for v in row] for row in report.rows],
+                   "records": report.records}
         text = json.dumps(payload, indent=2, default=_json_default) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
-        lines += [f"# {r['type']}: {r['message']}" for r in records]
+        lines = [",".join(report.columns)]
+        lines += [",".join(_fmt_cell(v) for v in row) for row in report.rows]
+        lines += [f"# {r['type']}: {r['message']}" for r in report.records]
         text = "\n".join(lines) + "\n"
     if cfg.out:
         Path(cfg.out).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
-    return 1 if any(r["type"] == "error" for r in records) else 0
+    return 1 if any(r["type"] == "error" for r in report.records) else 0
 
 
 def _json_default(value):
@@ -230,35 +239,28 @@ def _error_record(exc: Exception) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each sets report.columns first, then fills rows and records; a
+# DwellError it raises becomes main's error record
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig, report: Report) -> None:
     spec = cfg.well()
-    records: list[dict] = []
-    columns = ["index", "parity", "energy_J", "eps", "residual"]
-    rows: list[list] = []
+    report.columns = ["index", "parity", "energy_J", "eps", "residual"]
     if not spec.has_bound_pair:
-        records.append({"type": "warning",
-                        "message": f"k = {spec.k:.9g} J <= B/4 = {spec.barrier_bound / 4:.9g} J: "
-                                   "no level below the barrier"})
-        return emit("spectrum", columns, rows, records, cfg)
-    try:
-        result = solve_below_barrier(to_dimensionless(spec))
-    except DwellError as exc:
-        records.append(_error_record(exc))
-        return emit("spectrum", columns, rows, records, cfg)
+        report.records.append({"type": "warning",
+                               "message": f"k = {spec.k:.9g} J <= B/4 = {spec.barrier_bound / 4:.9g} J: "
+                                          "no level below the barrier"})
+        return
+    result = solve_below_barrier(to_dimensionless(spec))
     diag = {d.index: d for d in result.solver_report}
-    for level in result.levels:
-        rows.append([level.index, level.parity, level.energy, level.eps,
-                     diag[level.index].residual])
+    report.rows = [[level.index, level.parity, level.energy, level.eps,
+                    diag[level.index].residual] for level in result.levels]
     if cfg.oracle:
-        columns = columns + ["grid_energy_J", "grid_rel_diff"]
+        report.columns += ["grid_energy_J", "grid_rel_diff"]
         grid = lowest_eigenvalues(build_grid_hamiltonian(spec, cfg.grid_n),
                                   len(result.levels))
-        for row, level, grid_e in zip(rows, result.levels, grid):
+        for row, level, grid_e in zip(report.rows, result.levels, grid):
             row.extend([float(grid_e), abs(float(grid_e) / level.energy - 1.0)])
-    return emit("spectrum", columns, rows, records, cfg)
 
 
 def table1_rows():
@@ -266,15 +268,15 @@ def table1_rows():
     return gap_sweep(TABLE1_WELL, list(TABLE1_B_VALUES))
 
 
-def cmd_table1(cfg: RunConfig) -> int:
+def cmd_table1(cfg: RunConfig, report: Report) -> None:
+    report.columns = ["b_nm", "e0_J", "e1_J", "delta_e_J", "tau_s"]
     rows_data = table1_rows()
-    columns = ["b_nm", "e0_J", "e1_J", "delta_e_J", "tau_s"]
-    rows = [[r.b * 1e9, r.e0, r.e1, r.delta_e, r.tau] for r in rows_data]
+    report.rows = [[r.b * 1e9, r.e0, r.e1, r.delta_e, r.tau] for r in rows_data]
     # log-linear fit of the splitting decay
     b = np.array([r.b for r in rows_data])
     ln_gap = np.log([r.delta_e for r in rows_data])
     slope, intercept = np.polyfit(b, ln_gap, 1)
-    records = [
+    report.records = [
         {"type": "info",
          "message": f"ln(delta_e) vs b fit: slope = {slope:.9g} 1/m, "
                     f"intercept = {intercept:.9g}"},
@@ -291,37 +293,23 @@ def cmd_table1(cfg: RunConfig) -> int:
                     f"electron mass {CODATA_CONSTANTS.m_e:.9g} kg, not the 2-digit "
                     "9.1e-31 kg its text prints"},
     ]
-    return emit("table1", columns, rows, records, cfg)
 
 
-def cmd_dynamics(cfg: RunConfig) -> int:
-    records: list[dict] = []
-    columns = ["t_s", "p_l", "p_r", "x_expect_m"]
-    try:
-        sys_ = TwoLevelSystem.from_well(cfg.well())
-    except DwellError as exc:
-        records.append(_error_record(exc))
-        return emit("dynamics", columns, [], records, cfg)
+def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
+    report.columns = ["t_s", "p_l", "p_r", "x_expect_m"]
+    sys_ = TwoLevelSystem.from_well(cfg.well())
     period = 2.0 * math.pi / sys_.omega
     t_max = cfg.t_max if cfg.t_max is not None else period
     times = np.linspace(0.0, t_max, cfg.t_steps)
-    from .dynamics import flip_flop
-
     p_l, p_r = flip_flop(sys_, math.pi / 2.0, times)  # prepared on the L side
     x = x_expectation(sys_, "L", times)
-    rows = [[float(t), float(pl), float(pr), float(xv)]
-            for t, pl, pr, xv in zip(times, p_l, p_r, x)]
-    return emit("dynamics", columns, rows, records, cfg)
+    report.rows = [[float(t), float(pl), float(pr), float(xv)]
+                   for t, pl, pr, xv in zip(times, p_l, p_r, x)]
 
 
-def cmd_rabi(cfg: RunConfig) -> int:
-    records: list[dict] = []
-    columns = ["t_s", "p0", "p1", "p_l", "p_r"]
-    try:
-        sys_ = TwoLevelSystem.from_well(cfg.well())
-    except DwellError as exc:
-        records.append(_error_record(exc))
-        return emit("rabi", columns, [], records, cfg)
+def cmd_rabi(cfg: RunConfig, report: Report) -> None:
+    report.columns = ["t_s", "p0", "p1", "p_l", "p_r"]
+    sys_ = TwoLevelSystem.from_well(cfg.well())
     amp = cfg.drive_amp if cfg.drive_amp is not None else 0.1 * sys_.hbar * sys_.omega
     omega_prime = cfg.drive_omega if cfg.drive_omega is not None else sys_.omega
     drive = HarmonicDrive(amp, omega_prime)
@@ -330,20 +318,18 @@ def cmd_rabi(cfg: RunConfig) -> int:
     times = np.linspace(0.0, t_max, cfg.t_steps)
     p0, p1 = rabi_off_resonance(sys_, drive, times)
     p_l, p_r = rabi_localized(sys_, drive, times)
-    rows = [[float(t), float(a), float(b_), float(c), float(d)]
-            for t, a, b_, c, d in zip(times, p0, p1, p_l, p_r)]
-    return emit("rabi", columns, rows, records, cfg)
+    report.rows = [[float(t), float(a), float(b_), float(c), float(d)]
+                   for t, a, b_, c, d in zip(times, p0, p1, p_l, p_r)]
 
 
-def cmd_thermal(cfg: RunConfig) -> int:
+def cmd_thermal(cfg: RunConfig, report: Report) -> None:
     spec = cfg.well()
-    records: list[dict] = []
-    columns = ["t_bound_K", "e2_minus_e1_J", "t_max_K", "t_max_over_t_bound"]
+    report.columns = ["t_bound_K", "e2_minus_e1_J", "t_max_K", "t_max_over_t_bound"]
     t_bound = thermal_mod.global_temperature_bound(spec.a, spec.m, spec.constants)
     gap12 = math.nan
     t_max = math.nan
     ratio = math.nan
-    try:
+    try:  # T_B is defined without the spectrum: emit it even when the solve fails
         result = solve_below_barrier(to_dimensionless(spec))
         levels = {lv.index: lv for lv in result.levels}
         if 1 in levels and 2 in levels:
@@ -351,76 +337,59 @@ def cmd_thermal(cfg: RunConfig) -> int:
             t_max = thermal_mod.temperature_limit(gap12, spec.constants)
             ratio = t_max / t_bound
         else:
-            records.append({"type": "warning",
-                            "message": "fewer than three levels below the barrier; "
-                                       "only the geometric bound T_B is defined"})
+            report.records.append({"type": "warning",
+                                   "message": "fewer than three levels below the barrier; "
+                                              "only the geometric bound T_B is defined"})
     except DwellError as exc:
-        records.append(_error_record(exc))
-    rows = [[t_bound, gap12, t_max, ratio]]
-    return emit("thermal", columns, rows, records, cfg)
+        report.records.append(_error_record(exc))
+    report.rows = [[t_bound, gap12, t_max, ratio]]
 
 
-def cmd_gap_sweep(cfg: RunConfig) -> int:
-    records: list[dict] = []
+def cmd_gap_sweep(cfg: RunConfig, report: Report) -> None:
     spec = cfg.well()
     if cfg.delta is not None:
-        columns = ["delta_J", "b_m", "gap_J", "eps0", "cot2", "cot2_bound", "certified", "steps"]
-        try:
-            found = find_b_for_gap(cfg.delta, spec)
-        except DwellError as exc:
-            records.append(_error_record(exc))
-            return emit("gap-sweep", columns, [], records, cfg)
-        rows = [[cfg.delta, found.b, found.gap, found.eps0, found.cot2,
-                 found.cot2_bound, found.certified, found.steps]]
-        return emit("gap-sweep", columns, rows, records, cfg)
-
+        report.columns = ["delta_J", "b_m", "gap_J", "eps0", "cot2", "cot2_bound",
+                          "certified", "steps"]
+        found = find_b_for_gap(cfg.delta, spec)
+        report.rows = [[cfg.delta, found.b, found.gap, found.eps0, found.cot2,
+                        found.cot2_bound, found.certified, found.steps]]
+        return
+    report.columns = ["b_m", "e0_J", "e1_J", "delta_e_J", "tau_s", "error"]
     b_values = cfg.b_values if cfg.b_values is not None else TABLE1_B_VALUES
     rows_data = gap_sweep(spec, list(b_values))
-    columns = ["b_m", "e0_J", "e1_J", "delta_e_J", "tau_s", "error"]
-    rows = [[r.b, r.e0, r.e1, r.delta_e, r.tau, r.error or ""] for r in rows_data]
-    for r in rows_data:
-        if r.error:
-            records.append({"type": "error", "message": f"b = {r.b:.9g} m: {r.error}"})
-    return emit("gap-sweep", columns, rows, records, cfg)
+    report.rows = [[r.b, r.e0, r.e1, r.delta_e, r.tau, r.error or ""] for r in rows_data]
+    report.records = [{"type": "error", "message": f"b = {r.b:.9g} m: {r.error}"}
+                      for r in rows_data if r.error]
 
 
-def cmd_density(cfg: RunConfig) -> int:
-    columns = ["label", "abs_det", "classification", "purity"]
-    rows: list[list] = []
+def cmd_density(cfg: RunConfig, report: Report) -> None:
+    report.columns = ["label", "abs_det", "classification", "purity"]
     for label, state in density_mod.reference_states():
         det = float(abs(np.linalg.det(state.coeffs)))
         try:
-            pure = density_mod.is_pure(state)
-            kind = "pure" if pure else "mixed"
-        except DwellError:
+            kind = "pure" if density_mod.is_pure(state) else "mixed"
+        except AmbiguousPurity:
             kind = "ambiguous"
         purity = density_mod.reduce_state(state).purity
-        rows.append([label, det, kind, purity])
-    return emit("density", columns, rows, [], cfg)
+        report.rows.append([label, det, kind, purity])
 
 
-def cmd_oracle_check(cfg: RunConfig) -> int:
+def cmd_oracle_check(cfg: RunConfig, report: Report) -> None:
     spec = cfg.well()
-    records: list[dict] = []
-    columns = ["index", "parity", "energy_solver_J", "energy_grid_J", "rel_diff", "within_tol"]
-    rows: list[list] = []
-    try:
-        result = solve_below_barrier(to_dimensionless(spec))
-        grid = lowest_eigenvalues(build_grid_hamiltonian(spec, cfg.grid_n),
-                                  max(len(result.levels), 1))
-    except DwellError as exc:
-        records.append(_error_record(exc))
-        return emit("oracle-check", columns, rows, records, cfg)
+    report.columns = ["index", "parity", "energy_solver_J", "energy_grid_J", "rel_diff",
+                      "within_tol"]
+    result = solve_below_barrier(to_dimensionless(spec))
+    grid = lowest_eigenvalues(build_grid_hamiltonian(spec, cfg.grid_n),
+                              max(len(result.levels), 1))
     tol = 1e-4
     for level, grid_e in zip(result.levels, grid):
         rel = abs(float(grid_e) / level.energy - 1.0)
-        rows.append([level.index, level.parity, level.energy, float(grid_e),
-                     rel, rel <= tol])
+        report.rows.append([level.index, level.parity, level.energy, float(grid_e),
+                            rel, rel <= tol])
         if rel > tol:
-            records.append({"type": "error",
-                            "message": f"level {level.index}: grid disagreement "
-                                       f"{rel:.3e} exceeds {tol:.0e}"})
-    return emit("oracle-check", columns, rows, records, cfg)
+            report.records.append({"type": "error",
+                                   "message": f"level {level.index}: grid disagreement "
+                                              f"{rel:.3e} exceeds {tol:.0e}"})
 
 
 _COMMANDS = {
@@ -443,35 +412,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "convention (default paper; table1 always uses its calibrated set).")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="flat key = value file; flags override")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--oracle", action="store_true",
-                        help="cross-check spectra against the grid solver")
-    parser.add_argument("--grid-n", dest="grid_n", default=None, help="grid cells")
-    parser.add_argument("--a", default=None, help="valley width, e.g. 1um")
-    parser.add_argument("--b", default=None,
-                        help="barrier half-width, e.g. 100nm; comma list for gap-sweep")
-    parser.add_argument("--k", default=None, help="barrier height, e.g. 2e-24J")
-    parser.add_argument("--m", default=None, help="mass, e.g. 9.1e-31kg")
-    parser.add_argument("--t-max", dest="t_max", default=None, help="trace length, e.g. 2us")
-    parser.add_argument("--t-steps", dest="t_steps", default=None, help="trace samples")
-    parser.add_argument("--delta", default=None, help="gap target for gap-sweep")
-    parser.add_argument("--drive-amp", dest="drive_amp", default=None, help="drive amplitude (J)")
-    parser.add_argument("--drive-omega", dest="drive_omega", default=None,
-                        help="drive angular frequency (rad/s)")
+    for key, (kind, help_) in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if kind == "bool":
+            parser.add_argument(flag, dest=key, action="store_true", help=help_)
+        else:
+            parser.add_argument(flag, dest=key, help=help_,
+                                choices=kind if isinstance(kind, tuple) else None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    report = Report(args.command)
     try:
         cfg = build_config(args)
-        return _COMMANDS[args.command](cfg)
+        try:
+            _COMMANDS[args.command](cfg, report)
+        except DwellError as exc:
+            report.rows = []
+            report.records.append(_error_record(exc))
+        return emit(report, cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except (DwellError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

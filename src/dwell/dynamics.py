@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResonantDenominator
-from .spectrum import SpectrumResult, solve_below_barrier
+from .spectrum import solve_below_barrier
 from .units import WellSpec, to_dimensionless
 
 __all__ = [
@@ -119,12 +119,6 @@ class TwoLevelSystem:
         return cls(levels[0].energy, levels[1].energy, d,
                    spec.constants.hbar, spec.barrier_bound)
 
-    @classmethod
-    def from_spectrum(cls, result: SpectrumResult, d: float) -> "TwoLevelSystem":
-        levels = {lv.index: lv for lv in result.levels}
-        return cls(levels[0].energy, levels[1].energy, d,
-                   result.well.constants.hbar, result.well.b_scale)
-
 
 @dataclass(frozen=True)
 class HarmonicDrive:
@@ -168,18 +162,22 @@ def flip_flop(sys: TwoLevelSystem, phi: float, t) -> tuple[np.ndarray, np.ndarra
     return p_l, 1.0 - p_l
 
 
+def _rabi_transfer(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float, t
+                   ) -> np.ndarray:
+    """(R1/R0)^2 sin^2(R0 t) with R1 = A/hbar, R0 = sqrt(R1^2 + (detuning/2)^2)."""
+    r1 = drive.amplitude / sys.hbar
+    r0 = math.hypot(r1, detuning / 2.0)
+    t = np.asarray(t, dtype=float)
+    if r0 == 0.0:
+        return np.zeros_like(t)
+    return (r1 / r0) ** 2 * np.sin(r0 * t) ** 2
+
+
 def rabi_off_resonance(sys: TwoLevelSystem, drive: HarmonicDrive, t
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Driven populations of the energy eigenstates for c0(0) = 1:
     P1 = (R1/R0)^2 sin^2(R0 t) with R0 = sqrt((A/hbar)^2 + (detuning/2)^2)."""
-    r1 = drive.amplitude / sys.hbar
-    detuning = drive.omega_prime - sys.omega
-    r0 = math.hypot(r1, detuning / 2.0)
-    t = np.asarray(t, dtype=float)
-    if r0 == 0.0:
-        p1 = np.zeros_like(t)
-    else:
-        p1 = (r1 / r0) ** 2 * np.sin(r0 * t) ** 2
+    p1 = _rabi_transfer(sys, drive, drive.omega_prime - sys.omega, t)
     return 1.0 - p1, p1
 
 
@@ -188,13 +186,7 @@ def rabi_localized(sys: TwoLevelSystem, drive: HarmonicDrive, t
     """Driven populations of the localized states (degenerate core,
     starting in R): P_L = (R1/R0')^2 sin^2(R0' t) with
     R0' = sqrt((A/hbar)^2 + (omega'/2)^2)."""
-    r1 = drive.amplitude / sys.hbar
-    r0p = math.hypot(r1, drive.omega_prime / 2.0)
-    t = np.asarray(t, dtype=float)
-    if r0p == 0.0:
-        p_l = np.zeros_like(t)
-    else:
-        p_l = (r1 / r0p) ** 2 * np.sin(r0p * t) ** 2
+    p_l = _rabi_transfer(sys, drive, drive.omega_prime, t)
     return p_l, 1.0 - p_l
 
 
@@ -267,29 +259,26 @@ def rk4_two_level(matrix_fn: MatrixFn, c0: np.ndarray, times: np.ndarray,
     return out
 
 
+def _drive_matrix(amplitude: float, rate: float) -> MatrixFn:
+    """A [[0, e^{i rate t}], [cc, 0]]."""
+
+    def matrix(t: float) -> np.ndarray:
+        phase = cmath.exp(1j * rate * t)
+        return np.array([[0.0, amplitude * phase], [amplitude * phase.conjugate(), 0.0]])
+
+    return matrix
+
+
 def simple_drive_interaction(sys: TwoLevelSystem, drive: HarmonicDrive) -> MatrixFn:
     """Interaction-picture matrix of the upper-triangular drive choice
     A [[0,1],[0,0]] in the energy basis: A [[0, e^{i(w'-w)t}], [cc, 0]]."""
-    a = drive.amplitude
-    det = drive.omega_prime - sys.omega
-
-    def matrix(t: float) -> np.ndarray:
-        phase = cmath.exp(1j * det * t)
-        return np.array([[0.0, a * phase], [a * phase.conjugate(), 0.0]])
-
-    return matrix
+    return _drive_matrix(drive.amplitude, drive.omega_prime - sys.omega)
 
 
 def localized_drive_interaction(drive: HarmonicDrive) -> MatrixFn:
     """Drive coupling the degenerate localized pair:
     A [[0, e^{i w' t}], [cc, 0]] acting on (c_L, c_R)."""
-    a = drive.amplitude
-
-    def matrix(t: float) -> np.ndarray:
-        phase = cmath.exp(1j * drive.omega_prime * t)
-        return np.array([[0.0, a * phase], [a * phase.conjugate(), 0.0]])
-
-    return matrix
+    return _drive_matrix(drive.amplitude, drive.omega_prime)
 
 
 def flip_flop_generator(sys: TwoLevelSystem) -> MatrixFn:

@@ -60,14 +60,15 @@ class GridHamiltonian:
         return -self.half_width + (np.arange(self.n) + 0.5) * self.dx
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """H @ v evaluated as -t (second difference) + V v (cancellation-safe)."""
-        t = -self.off_diagonal
+        """H @ v evaluated as -t (second difference) + V v (cancellation-safe),
+        in the precision of v."""
+        t = v.dtype.type(-self.off_diagonal)
         d2 = np.empty_like(v)
         d2[1:-1] = (v[2:] - v[1:-1]) + (v[:-2] - v[1:-1])
         # walls half a cell outside the end nodes: ghost = -v
         d2[0] = (v[1] - v[0]) - 2.0 * v[0]
         d2[-1] = (v[-2] - v[-1]) - 2.0 * v[-1]
-        return -t * d2 + self.potential * v
+        return -t * d2 + self.potential.astype(v.dtype, copy=False) * v
 
 
 def build_grid_hamiltonian(spec: WellSpec, n: int = 20_000) -> GridHamiltonian:
@@ -130,15 +131,6 @@ def lowest_eigenvalues(h: GridHamiltonian, count: int) -> np.ndarray:
     return w * scale
 
 
-def _apply_longdouble(h: GridHamiltonian, v: np.ndarray) -> np.ndarray:
-    t = np.longdouble(-h.off_diagonal)
-    d2 = np.empty_like(v)
-    d2[1:-1] = (v[2:] - v[1:-1]) + (v[:-2] - v[1:-1])
-    d2[0] = (v[1] - v[0]) - 2.0 * v[0]
-    d2[-1] = (v[-2] - v[-1]) - 2.0 * v[-1]
-    return -t * d2 + h.potential.astype(np.longdouble) * v
-
-
 def eigenvector(h: GridHamiltonian, eigenvalue: float, *, max_iter: int = 30) -> np.ndarray:
     """Inverse-iteration eigenvector for a converged eigenvalue, normalized
     so that sum(v^2) dx = 1 and sign-aligned to v > 0 just right of x = 0.
@@ -178,7 +170,7 @@ def eigenvector(h: GridHamiltonian, eigenvalue: float, *, max_iter: int = 30) ->
             v_ld = v.astype(np.longdouble)
             best_v, best_residual = None, math.inf
             for _ in range(3):
-                hv = _apply_longdouble(h, v_ld)
+                hv = h.apply(v_ld)
                 rq = np.longdouble(v_ld @ hv) / np.longdouble(v_ld @ v_ld)
                 r = hv - rq * v_ld
                 residual = float(np.sqrt(np.longdouble(r @ r)))

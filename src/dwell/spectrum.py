@@ -109,9 +109,6 @@ class SpectrumResult:
     def eps_values(self) -> tuple[float, ...]:
         return tuple(level.eps for level in self.levels)
 
-    def is_degenerate_pair(self, n: int) -> bool:
-        return any(d.degenerate_pair and d.index // 2 == n for d in self.solver_report)
-
 
 def _coth(x: float) -> float:
     return 1.0 / math.tanh(x)
@@ -404,6 +401,7 @@ def verify_bounds(result: SpectrumResult) -> BoundReport:
     if not result.levels:
         raise ValueError("spectrum is empty")
     eps = {level.index: level.eps for level in result.levels}
+    degenerate_pairs = {d.index // 2 for d in result.solver_report if d.degenerate_pair}
     checks: list[BoundCheck] = []
 
     def strict(name: str, margin: float, degenerate: bool = False) -> None:
@@ -415,8 +413,7 @@ def verify_bounds(result: SpectrumResult) -> BoundReport:
 
     strict("window: eps0 > 1/4", eps[0] - 0.25)
     if 1 in eps:
-        deg0 = result.is_degenerate_pair(0)
-        strict("window: eps1 > eps0", eps[1] - eps[0], deg0)
+        strict("window: eps1 > eps0", eps[1] - eps[0], 0 in degenerate_pairs)
         strict("window: eps1 < 1", 1.0 - eps[1])
         strict("splitting ceiling: eps1 - eps0 < 3/4", 0.75 - (eps[1] - eps[0]))
     else:
@@ -437,11 +434,10 @@ def verify_bounds(result: SpectrumResult) -> BoundReport:
         hi = (n + 1.0) ** 2
         if 2 * n not in eps:
             continue
-        deg = result.is_degenerate_pair(n)
         strict(f"bracket pair {n}: eps_{2*n} > (n+1/2)^2", eps[2 * n] - lo)
         if 2 * n + 1 in eps:
             strict(f"bracket pair {n}: eps_{2*n} < eps_{2*n+1}",
-                   eps[2 * n + 1] - eps[2 * n], deg)
+                   eps[2 * n + 1] - eps[2 * n], n in degenerate_pairs)
             strict(f"bracket pair {n}: eps_{2*n+1} < (n+1)^2", hi - eps[2 * n + 1])
         else:
             strict(f"bracket pair {n}: eps_{2*n} < (n+1)^2", hi - eps[2 * n])

@@ -206,25 +206,23 @@ def _int_u_sinh_stable(c: float, b: float) -> float:
     return _int_u_sinh(c, b)
 
 
-def dipole_matrix_element(psi0: PiecewiseEigenfunction, psi1: PiecewiseEigenfunction,
-                          *, cross_check: bool = True) -> float:
+def dipole_matrix_element(psi0: PiecewiseEigenfunction, psi1: PiecewiseEigenfunction) -> float:
     """|<psi0| x |psi1>| for an opposite-parity pair; positive by the sign
     convention (equivalent to flipping psi1's global sign when needed).
 
-    When cross_check is set the analytic value is validated against
-    adaptive quadrature to 1e-10 relative."""
+    The analytic value is validated against adaptive quadrature to 1e-10
+    relative."""
     if psi0.parity == psi1.parity:
         raise ValueError("dipole element needs opposite parities")
     d = position_matrix_element(psi0, psi1)
     edge = psi0.a + psi0.b
     if not 0.0 < abs(d) < edge:
         raise ValueError(f"dipole element {d!r} outside (0, a+b)")
-    if cross_check:
-        d_num = _quad_position(psi0, psi1)
-        tol = 1e-10 * max(abs(d), 1e-3 * edge)
-        if abs(d_num - d) > tol:
-            raise QuadratureError(
-                f"analytic dipole {d:.15e} vs quadrature {d_num:.15e} beyond {tol:.1e}")
+    d_num = _quad_position(psi0, psi1)
+    tol = 1e-10 * max(abs(d), 1e-3 * edge)
+    if abs(d_num - d) > tol:
+        raise QuadratureError(
+            f"analytic dipole {d:.15e} vs quadrature {d_num:.15e} beyond {tol:.1e}")
     return abs(d)
 
 

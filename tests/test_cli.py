@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import dwell.cli
 from dwell.cli import (
     TABLE1_B_VALUES,
     main,
     parse_quantity,
     table1_rows,
 )
-from dwell.errors import ConfigError
+from dwell.errors import ConfigError, ConvergenceFailure
 
 
 def run_cli(args, capsys):
@@ -204,6 +205,28 @@ def test_degenerate_well_error_record_in_json(capsys):
     payload = json.loads(out)
     assert payload["rows"] == []
     assert any(r["type"] == "error" for r in payload["records"])
+
+
+def _raise_convergence_failure(*_):
+    raise ConvergenceFailure("injected failure")
+
+
+def test_spectrum_oracle_failure_is_an_error_record(capsys, monkeypatch):
+    # a solver error in any command becomes one error record: columns, no rows
+    monkeypatch.setattr(dwell.cli, "lowest_eigenvalues", _raise_convergence_failure)
+    code, out = run_cli(["spectrum", "--oracle"], capsys)
+    assert code == 1
+    assert out == ("index,parity,energy_J,eps,residual,grid_energy_J,grid_rel_diff\n"
+                   "# error: injected failure\n")
+
+
+def test_thermal_keeps_t_bound_when_the_solver_fails(capsys, monkeypatch):
+    monkeypatch.setattr(dwell.cli, "solve_below_barrier", _raise_convergence_failure)
+    code, out = run_cli(["thermal"], capsys)
+    assert code == 1
+    assert out == ("t_bound_K,e2_minus_e1_J,t_max_K,t_max_over_t_bound\n"
+                   "0.00109970998,nan,nan,nan\n"
+                   "# error: injected failure\n")
 
 
 def test_invalid_well_parameter_reports_cleanly(capsys):
