@@ -14,7 +14,8 @@ Exit codes, one per channel:
      row or oracle check), or nothing written and an 'error: ValueError: ...'
      line on stderr (invalid well, grid or environment parameters);
   2  nothing written and a 'config error: ...' line on stderr (bad flag
-     value or config file), or an argparse usage error.
+     value or config file, unreadable config file or unwritable output
+     path), or an argparse usage error.
 """
 
 from __future__ import annotations
@@ -131,7 +132,10 @@ def load_config_file(path: str) -> dict[str, str]:
     """Flat 'key = value' file; '#' starts a comment; unknown keys are
     rejected with their line number."""
     raw: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -218,7 +222,10 @@ def emit(report: Report, cfg: RunConfig) -> int:
         lines += [f"# {r['type']}: {r['message']}" for r in report.records]
         text = "\n".join(lines) + "\n"
     if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8", newline="\n")
+        try:
+            Path(cfg.out).write_text(text, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {cfg.out!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return 1 if any(r["type"] == "error" for r in report.records) else 0

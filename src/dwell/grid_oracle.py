@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import ConvergenceFailure, SingularShift
 from .units import WellSpec
@@ -114,6 +113,9 @@ def aligned_size(spec: WellSpec, target: int, max_denominator: int = 200) -> int
 
 def lowest_eigenvalues(h: GridHamiltonian, count: int) -> np.ndarray:
     """The count smallest eigenvalues (J) by Sturm-sequence bisection."""
+    # local import: scipy.linalg costs ~0.3 s to load, paid only by oracle paths
+    from scipy.linalg import eigh_tridiagonal
+
     if count < 1 or count > h.n // 10:
         raise ValueError(f"count must be in [1, n/10], got {count}")
     scale = h.energy_scale
@@ -138,6 +140,9 @@ def eigenvector(h: GridHamiltonian, eigenvalue: float, *, max_iter: int = 30) ->
     Plain float64 inverse iteration stalls at a residual ~ eps ||H|| from
     the solver's injected roundoff, which at n = 2e4 sits above 1e-8 |E|;
     a couple of extended-precision residual refinements push it well below."""
+    # local import: scipy.linalg costs ~0.3 s to load, paid only by oracle paths
+    from scipy.linalg import solve_banded
+
     scale = h.energy_scale
     diag = h.diagonal / scale
     off = h.off_diagonal / scale

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import MatchFailure, QuadratureError
 from .spectrum import EnergyLevel
@@ -63,15 +62,21 @@ class PiecewiseEigenfunction:
     def parity(self) -> str:
         return self.level.parity
 
-    def __call__(self, x) -> np.ndarray:
-        """Evaluate pointwise; zero outside the walls."""
+    def _regions(self, x):
+        """x as a float array, the wall position a + b, and the masks of the
+        left valley, the barrier and the right valley."""
         x = np.asarray(x, dtype=float)
-        amp_l, amp_b, amp_r = self.amplitudes
         edge = self.a + self.b
-        out = np.zeros_like(x)
         left = (x > -edge) & (x < -self.b)
         barrier = np.abs(x) <= self.b
         right = (x > self.b) & (x < edge)
+        return x, edge, left, barrier, right
+
+    def __call__(self, x) -> np.ndarray:
+        """Evaluate pointwise; zero outside the walls."""
+        x, edge, left, barrier, right = self._regions(x)
+        amp_l, amp_b, amp_r = self.amplitudes
+        out = np.zeros_like(x)
         out[left] = amp_l * np.sin(self.alpha * (x[left] + edge))
         if self.parity == "even":
             out[barrier] = amp_b * np.cosh(self.beta * x[barrier])
@@ -81,13 +86,9 @@ class PiecewiseEigenfunction:
         return out
 
     def derivative(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x, edge, left, barrier, right = self._regions(x)
         amp_l, amp_b, amp_r = self.amplitudes
-        edge = self.a + self.b
         out = np.zeros_like(x)
-        left = (x > -edge) & (x < -self.b)
-        barrier = np.abs(x) <= self.b
-        right = (x > self.b) & (x < edge)
         out[left] = amp_l * self.alpha * np.cos(self.alpha * (x[left] + edge))
         if self.parity == "even":
             out[barrier] = amp_b * self.beta * np.sinh(self.beta * x[barrier])
@@ -227,6 +228,9 @@ def dipole_matrix_element(psi0: PiecewiseEigenfunction, psi1: PiecewiseEigenfunc
 
 
 def _quad_position(f: PiecewiseEigenfunction, g: PiecewiseEigenfunction) -> float:
+    # local import: scipy.integrate costs ~0.5 s to load, paid only by this oracle path
+    from scipy.integrate import quad
+
     edge = f.a + f.b
 
     def integrand(x: float) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,37 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "bad.cfg:2" in err and "barrier" in err
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code = main(["spectrum", "--config", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot read config file ")
+    assert str(missing) in captured.err and captured.err.count("\n") == 1
+
+
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "x.csv"
+    code = main(["spectrum", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write output ")
+    assert str(target) in captured.err and captured.err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported only inside the oracle functions that call it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, dwell, dwell.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_dynamics_probabilities_and_periodicity(capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from dwell import (
     BASIS_CHANGE,
@@ -24,7 +25,7 @@ from dwell.dynamics import (
     rk4_two_level,
     simple_drive_interaction,
 )
-from dwell.errors import ResonantDenominator
+from dwell.errors import QuadratureError, ResonantDenominator
 
 
 def test_x_expectation_turning_points(two_level):
@@ -263,6 +264,33 @@ def test_from_well_consistency(table_well, two_level, table_spectrum):
     assert two_level.e1 == pytest.approx(levels[1].energy, rel=1e-14)
     assert two_level.omega > 0
     assert two_level.big_omega > two_level.omega
+
+
+def test_from_well_runs_the_quad_cross_check(table_well, monkeypatch):
+    # the dipole element is checked by adaptive quadrature on every call,
+    # one quad per region of the well
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    TwoLevelSystem.from_well(table_well)
+    assert len(calls) == 3
+
+
+def test_from_well_rejects_a_disagreeing_quadrature(table_well, monkeypatch):
+    quad = scipy.integrate.quad
+
+    def biased_quad(*args, **kwargs):
+        val, err = quad(*args, **kwargs)
+        return val * (1.0 + 1e-6), err
+
+    monkeypatch.setattr(scipy.integrate, "quad", biased_quad)
+    with pytest.raises(QuadratureError):
+        TwoLevelSystem.from_well(table_well)
 
 
 def test_operator_requires_2x2():
