@@ -43,6 +43,7 @@ from .spectrum import (
     find_b_for_gap,
     gap01,
     gap_sweep,
+    lowest_pair,
     solve_below_barrier,
     solve_pair,
     verify_bounds,

@@ -136,6 +136,8 @@ def load_config_file(path: str) -> dict[str, str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

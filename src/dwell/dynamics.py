@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ResonantDenominator
-from .spectrum import solve_below_barrier
+from .errors import DegenerateGap, ResonantDenominator
+from .spectrum import lowest_pair
 from .units import WellSpec, to_dimensionless
 
 __all__ = [
@@ -102,21 +102,20 @@ class TwoLevelSystem:
     @classmethod
     def from_well(cls, spec: WellSpec) -> "TwoLevelSystem":
         """Solve the well and assemble the system from its lowest pair."""
-        from .errors import DegenerateGap
         from .wavefunction import build_eigenfunction, dipole_matrix_element
 
-        result = solve_below_barrier(to_dimensionless(spec))
-        levels = {lv.index: lv for lv in result.levels}
-        if 0 not in levels or 1 not in levels:
+        result = lowest_pair(to_dimensionless(spec))
+        if len(result.levels) < 2:
             raise DegenerateGap("well does not hold a full pair below the barrier")
-        if levels[1].energy - levels[0].energy < 1e-15 * levels[1].energy:
+        if result.solver_report[0].degenerate_pair:
             raise DegenerateGap(
                 "pair splitting is below float64 resolution; no two-level "
                 "dynamics can be built from it")
-        psi0 = build_eigenfunction(spec, levels[0])
-        psi1 = build_eigenfunction(spec, levels[1])
+        level0, level1 = result.levels
+        psi0 = build_eigenfunction(spec, level0)
+        psi1 = build_eigenfunction(spec, level1)
         d = dipole_matrix_element(psi0, psi1)
-        return cls(levels[0].energy, levels[1].energy, d,
+        return cls(level0.energy, level1.energy, d,
                    spec.constants.hbar, spec.barrier_bound)
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class DwellError(Exception):
-    """Base class for all solver errors."""
+    """Base class for all solver errors; the spectrum solver sets pair_index
+    to the pair n whose solve failed."""
+
+    pair_index: int | None = None
 
 
 class NonFiniteScaling(DwellError):

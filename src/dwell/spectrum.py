@@ -14,6 +14,11 @@ Pair n is bracketed inside ((n + 1/2)^2, min((n + 1)^2, kappa)); the even
 member always exists there, the odd member can be pushed above the barrier.
 Roots are located by bisection (which respects the bracket) and polished
 with Newton steps using analytic derivatives.
+
+A pair whose even/odd splitting float64 cannot resolve is flagged by
+LevelDiagnostics.degenerate_pair, set once per pair by the solver; that
+flag is the one definition of a degenerate pair, which gap01, gap_sweep,
+find_b_for_gap and TwoLevelSystem.from_well all read.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "cot_squared",
     "solve_pair",
     "solve_below_barrier",
+    "lowest_pair",
     "verify_bounds",
     "gap01",
     "gap_sweep",
@@ -110,83 +116,52 @@ class SpectrumResult:
         return tuple(level.eps for level in self.levels)
 
 
-def _coth(x: float) -> float:
-    return 1.0 / math.tanh(x)
-
-
-def _sech2(x: float) -> float:
-    # 1/cosh^2 without overflowing cosh
-    e = math.exp(-abs(x))
-    s = 2.0 * e / (1.0 + e * e)
-    return s * s
-
-
-def _csch2(x: float) -> float:
-    # 1/sinh^2 for x > 0 without overflowing sinh
-    e = math.exp(-x)
-    denom = 1.0 - e * e
-    if denom == 0.0:
-        raise ZeroDivisionError("csch2 at 0")
-    s = 2.0 * e / denom
-    return s * s
+def _cot(eps: float) -> tuple[float, float, float]:
+    """(sqrt(eps), sin(pi sqrt(eps)), cot(pi sqrt(eps))); the one cot pole
+    guard, raising PoleCollision."""
+    s = math.sqrt(eps)
+    sin_pis = math.sin(math.pi * s)
+    if abs(sin_pis) < 1e-14:
+        raise PoleCollision(f"cot pole at sqrt(eps) = {s!r}")
+    return s, sin_pis, math.cos(math.pi * s) / sin_pis
 
 
 def condition_functions(eps: float, kappa: float, lam: float) -> tuple[float, float, float]:
     """Evaluate (g, h, j) at eps; raises PoleCollision on a cot pole."""
     if not 0.0 < eps < kappa:
         raise ValueError(f"eps must lie in (0, kappa), got eps={eps}, kappa={kappa}")
-    s = math.sqrt(eps)
-    sin_pis = math.sin(math.pi * s)
-    if abs(sin_pis) < 1e-14:
-        raise PoleCollision(f"cot pole at sqrt(eps) = {s!r} (integer)")
-    g = -s * math.cos(math.pi * s) / sin_pis
+    s, _, cot = _cot(eps)
     u = math.sqrt(kappa - eps)
-    x = math.pi * lam * u
-    t = math.tanh(x)
-    return g, u * t, u / t
-
-
-def _g_only(eps: float) -> float:
-    s = math.sqrt(eps)
-    sin_pis = math.sin(math.pi * s)
-    if abs(sin_pis) < 1e-14:
-        raise PoleCollision(f"cot pole at sqrt(eps) = {s!r}")
-    return -s * math.cos(math.pi * s) / sin_pis
+    t = math.tanh(math.pi * lam * u)
+    return -s * cot, u * t, u / t
 
 
 def cot_squared(eps: float) -> float:
     """cot^2(pi sqrt(eps)); monotonically increasing on (1/4, 1)."""
-    s = math.sqrt(eps)
-    sin_pis = math.sin(math.pi * s)
-    if abs(sin_pis) < 1e-14:
-        raise PoleCollision(f"cot pole at sqrt(eps) = {s!r}")
-    c = math.cos(math.pi * s) / sin_pis
-    return c * c
+    _, _, cot = _cot(eps)
+    return cot * cot
 
 
 def _f_and_deriv(eps: float, kappa: float, lam: float, parity: Parity) -> tuple[float, float]:
     """F = g - h (even) or g - j (odd), with dF/deps."""
-    s = math.sqrt(eps)
-    sin_pis = math.sin(math.pi * s)
-    if abs(sin_pis) < 1e-14:
-        raise PoleCollision(f"cot pole at sqrt(eps) = {s!r}")
-    cot = math.cos(math.pi * s) / sin_pis
+    s, sin_pis, cot = _cot(eps)
     csc2 = 1.0 / (sin_pis * sin_pis)
     g = -s * cot
     dg = (-cot + math.pi * s * csc2) / (2.0 * s)
 
     u = math.sqrt(kappa - eps)
     x = math.pi * lam * u
+    t = math.tanh(x)
+    e = math.exp(-x)  # sech and csch as 2e/(1 +- e^2), without overflowing cosh/sinh
     if parity == "even":
-        t = math.tanh(x)
-        rhs = u * t
-        drhs_du = t + x * _sech2(x)
+        sech = 2.0 * e / (1.0 + e * e)
+        drhs_du = t + x * (sech * sech)
     else:
-        t = _coth(x)
-        rhs = u * t
-        drhs_du = t - x * _csch2(x)
+        t = 1.0 / t
+        csch = 2.0 * e / (1.0 - e * e)
+        drhs_du = t - x * (csch * csch)
     drhs = -drhs_du / (2.0 * u)
-    return g - rhs, dg - drhs
+    return g - u * t, dg - drhs
 
 
 def _refine_root(lo: float, hi: float, kappa: float, lam: float,
@@ -262,7 +237,8 @@ def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
     pushed above the barrier."""
     if capped_by_barrier:
         try:
-            g_cap = _g_only(kappa)
+            s, _, cot = _cot(kappa)
+            g_cap = -s * cot
         except PoleCollision:
             g_cap = math.inf  # the cap sits exactly on a pole: g diverges
         limit = 0.0 if parity == "even" else 1.0 / (math.pi * lam)
@@ -272,7 +248,7 @@ def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
     shrink = 1e-9
     for _ in range(12):
         point = hi - shrink * width
-        if point <= lo:
+        if not lo < point < hi:  # a few-ulp bracket: the probe rounds onto an end
             break
         try:
             f, _ = _f_and_deriv(point, kappa, lam, parity)
@@ -349,17 +325,15 @@ def solve_pair(n: int, well: ScaledWell) -> tuple[EnergyLevel, EnergyLevel | Non
     return even, odd
 
 
-def solve_below_barrier(well: ScaledWell) -> SpectrumResult:
-    """Solve every pair n with (n+1/2)^2 < kappa; empty result when
-    kappa <= 1/4 (no level fits below the barrier)."""
+def _solve_pairs(well: ScaledWell, pairs: float) -> SpectrumResult:
     levels: list[EnergyLevel] = []
     report: list[LevelDiagnostics] = []
     n = 0
-    while (n + 0.5) ** 2 < well.kappa:
+    while n < pairs and (n + 0.5) ** 2 < well.kappa:
         try:
             even, even_diag, odd, odd_diag = _solve_pair_diagnosed(n, well)
         except (BracketFailure, PoleCollision, ConvergenceFailure) as exc:
-            exc.pair_index = n  # type: ignore[attr-defined]
+            exc.pair_index = n
             raise
         levels.append(even)
         report.append(even_diag)
@@ -368,6 +342,18 @@ def solve_below_barrier(well: ScaledWell) -> SpectrumResult:
             report.append(odd_diag)
         n += 1
     return SpectrumResult(tuple(levels), well, tuple(report))
+
+
+def solve_below_barrier(well: ScaledWell) -> SpectrumResult:
+    """Solve every pair n with (n+1/2)^2 < kappa; empty result when
+    kappa <= 1/4 (no level fits below the barrier)."""
+    return _solve_pairs(well, math.inf)
+
+
+def lowest_pair(well: ScaledWell) -> SpectrumResult:
+    """Solve pair 0 alone: levels 0 and 1, level 0 only when the odd level
+    lies above the barrier, none when kappa <= 1/4."""
+    return _solve_pairs(well, 1)
 
 
 @dataclass(frozen=True)
@@ -465,7 +451,7 @@ def gap01(result: SpectrumResult) -> Gap01:
     if not math.isfinite(e0):
         raise ValueError("well carries no SI scale; solve from a WellSpec")
     delta = e1 - e0
-    if delta < 1e-15 * e1:
+    if result.solver_report[0].degenerate_pair:
         raise DegenerateGap(
             f"E1 - E0 = {delta:.3e} J is below f64 resolution of E1 = {e1:.3e} J")
     hbar = result.well.constants.hbar
@@ -492,13 +478,11 @@ def gap_sweep(template: WellSpec, b_values: list[float]) -> tuple[SweepRow, ...]
     rows: list[SweepRow] = []
     for b in b_values:
         try:
-            spec = template.with_b(b)
-            result = solve_below_barrier(to_dimensionless(spec))
+            result = lowest_pair(to_dimensionless(template.with_b(b)))
             gap = gap01(result)
-            levels = {lv.index: lv for lv in result.levels}
-            rows.append(SweepRow(b, levels[0].energy, levels[1].energy,
-                                 gap.delta_e, gap.tau))
-        except Exception as exc:  # row-local: sweep must continue
+            e0, e1 = result.levels
+            rows.append(SweepRow(b, e0.energy, e1.energy, gap.delta_e, gap.tau))
+        except (DwellError, ValueError) as exc:  # row-local: sweep must continue
             rows.append(SweepRow(b, math.nan, math.nan, math.nan, math.nan,
                                  error=f"{type(exc).__name__}: {exc}"))
     return tuple(rows)
@@ -532,12 +516,13 @@ def find_b_for_gap(delta: float, template: WellSpec, *,
     steps = 0
     while b <= cap:
         well = to_dimensionless(template.with_b(b))
-        even, odd = solve_pair(0, well)
-        if odd is None:
+        pair = lowest_pair(well)
+        if len(pair.levels) < 2:
             raise BracketFailure("lowest odd level missing during gap search",
                                  (0.25, well.kappa))
+        even, odd = pair.levels
         gap = odd.energy - even.energy
-        if _pair_unresolvable(even.eps, well.kappa, well.lam):
+        if pair.solver_report[0].degenerate_pair:
             if delta < 1e-15 * odd.energy:
                 raise DegenerateGap(
                     f"target {delta:.3e} J is below f64 resolution at b = {b:.6g} m")

@@ -130,6 +130,17 @@ def test_unreadable_config_file_is_a_config_error(tmp_path, capsys):
     assert str(missing) in captured.err and captured.err.count("\n") == 1
 
 
+def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"a = 1\xffum\n")
+    code = main(["spectrum", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read config file {str(cfg)!r}: ")
+    assert "can't decode byte 0xff" in captured.err and captured.err.count("\n") == 1
+
+
 def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "x.csv"
     code = main(["spectrum", "--out", str(target)])

@@ -25,7 +25,9 @@ from dwell.dynamics import (
     rk4_two_level,
     simple_drive_interaction,
 )
-from dwell.errors import QuadratureError, ResonantDenominator
+import dwell.spectrum as spectrum
+from dwell import solve_below_barrier, to_dimensionless
+from dwell.errors import ConvergenceFailure, DegenerateGap, QuadratureError, ResonantDenominator
 
 
 def test_x_expectation_turning_points(two_level):
@@ -291,6 +293,33 @@ def test_from_well_rejects_a_disagreeing_quadrature(table_well, monkeypatch):
     monkeypatch.setattr(scipy.integrate, "quad", biased_quad)
     with pytest.raises(QuadratureError):
         TwoLevelSystem.from_well(table_well)
+
+
+def test_from_well_raises_exactly_on_flagged_widths(table_well):
+    flagged = 0
+    for b in np.linspace(600e-9, 1000e-9, 21):
+        spec = table_well.with_b(float(b))
+        result = solve_below_barrier(to_dimensionless(spec))
+        if result.solver_report[0].degenerate_pair:
+            flagged += 1
+            with pytest.raises(DegenerateGap, match="below float64 resolution"):
+                TwoLevelSystem.from_well(spec)
+        else:
+            sys = TwoLevelSystem.from_well(spec)
+            assert (sys.e0, sys.e1) == (result.levels[0].energy, result.levels[1].energy)
+    assert 0 < flagged < 21
+
+
+def test_from_well_solves_only_the_lowest_pair(table_well, two_level, monkeypatch):
+    solve = spectrum._solve_pair_diagnosed
+
+    def fail_upper_pairs(n, well):
+        if n >= 1:
+            raise ConvergenceFailure("injected")
+        return solve(n, well)
+
+    monkeypatch.setattr(spectrum, "_solve_pair_diagnosed", fail_upper_pairs)
+    assert TwoLevelSystem.from_well(table_well) == two_level
 
 
 def test_operator_requires_2x2():

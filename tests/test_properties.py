@@ -1,0 +1,39 @@
+"""Property test over the whole (kappa, lambda) domain: every well either
+solves to a spectrum that meets every guaranteed bound, or raises a
+DwellError; no other exception escapes."""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dwell import ScaledWell, SpectrumResult, solve_below_barrier, verify_bounds  # noqa: E402
+from dwell.errors import DwellError  # noqa: E402
+
+
+def _ulps_above(x: float, k: int) -> float:
+    for _ in range(k):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(kappa=st.floats(math.log(0.25), math.log(1e4)).map(math.exp),
+       lam=st.floats(-8.0, 2.0).map(lambda p: 10.0 ** p))
+@example(kappa=_ulps_above(0.25, 1), lam=1.0)
+@example(kappa=_ulps_above(2.25, 1), lam=0.1)
+@example(kappa=_ulps_above(2.25, 8), lam=0.1)
+@example(kappa=_ulps_above(30.25, 3), lam=1e-8)
+@example(kappa=_ulps_above(1056.25, 2), lam=1e2)
+@example(kappa=_ulps_above(9900.25, 5), lam=0.01)
+def test_every_well_solves_within_bounds_or_raises_a_dwell_error(kappa, lam):
+    assume(kappa > 0.25)  # exp(log(1/4)) may round onto 1/4, where no level exists
+    try:
+        result = solve_below_barrier(ScaledWell(kappa, lam))
+    except DwellError:
+        return
+    assert isinstance(result, SpectrumResult)
+    assert verify_bounds(result).all_hold

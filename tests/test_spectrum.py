@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import dwell.spectrum as spectrum
 from dwell import (
+    ScaledWell,
     WellSpec,
     condition_functions,
     find_b_for_gap,
@@ -14,8 +16,14 @@ from dwell import (
     to_dimensionless,
     verify_bounds,
 )
-from dwell.errors import DegenerateGap, NotReached, PoleCollision
-from dwell.spectrum import cot_squared
+from dwell.errors import (
+    BracketFailure,
+    ConvergenceFailure,
+    DegenerateGap,
+    NotReached,
+    PoleCollision,
+)
+from dwell.spectrum import _f_and_deriv, cot_squared
 
 # frozen from an independent 50-digit evaluation
 G_AT_089 = 5.2493156196093767     # g(0.89)
@@ -279,3 +287,82 @@ def test_solver_error_carries_pair_index():
 
     with pytest.raises(ValueError):
         solve_pair(3, ScaledWell(5.0, 0.5))
+
+
+def test_solver_error_pair_index_names_failed_pair(table_well, monkeypatch):
+    solve = spectrum._solve_pair_diagnosed
+
+    def fail_pair_two(n, well):
+        if n == 2:
+            raise ConvergenceFailure("injected")
+        return solve(n, well)
+
+    monkeypatch.setattr(spectrum, "_solve_pair_diagnosed", fail_pair_two)
+    with pytest.raises(ConvergenceFailure) as info:
+        solve_below_barrier(to_dimensionless(table_well))
+    assert info.value.pair_index == 2
+
+
+def test_gap_sweep_lets_programming_errors_out(table_well, monkeypatch):
+    def broken(n, well):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(spectrum, "_solve_pair_diagnosed", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        gap_sweep(table_well, [1e-7])
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_threshold_kappa_raises_bracket_failure(n, k):
+    # kappa a few ulp above (n+1/2)^2: the top pair's bracket is a few ulp wide
+    kappa = (n + 0.5) ** 2
+    for _ in range(k):
+        kappa = math.nextafter(kappa, math.inf)
+    with pytest.raises(BracketFailure) as info:
+        solve_below_barrier(ScaledWell(kappa, 0.1))
+    assert info.value.pair_index == n
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("eps", [0.9, 3.0, 20.0])
+def test_condition_derivative_matches_central_difference(parity, eps):
+    kappa = 33.2
+    u = math.sqrt(kappa - eps)
+    for x in np.geomspace(1e-3, 45.0, 25):  # barrier argument pi lambda u
+        lam = x / (math.pi * u)
+        h = 1e-6 * eps
+        _, deriv = _f_and_deriv(eps, kappa, lam, parity)
+        f_plus, _ = _f_and_deriv(eps + h, kappa, lam, parity)
+        f_minus, _ = _f_and_deriv(eps - h, kappa, lam, parity)
+        assert (f_plus - f_minus) / (2.0 * h) == pytest.approx(deriv, rel=1e-6)
+
+
+B_ACROSS_FLAG = [float(b) for b in np.linspace(600e-9, 1000e-9, 41)]
+
+
+def test_gap_sweep_rows_follow_the_degenerate_flag(table_well):
+    rows = gap_sweep(table_well, B_ACROSS_FLAG)
+    flagged = 0
+    for row in rows:
+        result = solve_below_barrier(to_dimensionless(table_well.with_b(row.b)))
+        if result.solver_report[0].degenerate_pair:
+            flagged += 1
+            assert row.error.startswith("DegenerateGap: ")
+        else:
+            assert row.error is None
+            assert (row.e0, row.e1) == (result.levels[0].energy, result.levels[1].energy)
+    assert 0 < flagged < len(rows)
+
+
+def test_lowest_pair_alone_feeds_sweep(table_well, monkeypatch):
+    before = gap_sweep(table_well, [1e-7, 2e-7])
+    solve = spectrum._solve_pair_diagnosed
+
+    def fail_upper_pairs(n, well):
+        if n >= 1:
+            raise ConvergenceFailure("injected")
+        return solve(n, well)
+
+    monkeypatch.setattr(spectrum, "_solve_pair_diagnosed", fail_upper_pairs)
+    assert gap_sweep(table_well, [1e-7, 2e-7]) == before
