@@ -16,11 +16,13 @@ has positive slope there, which makes the dipole element of the lowest
 pair positive and golden outputs reproducible.
 
 Norms and dipole integrals use exact antiderivatives of the piecewise
-products; adaptive quadrature is only a cross-check.
+products. Every dipole element is also checked against a fixed
+Gauss-Legendre rule, region by region, which carries its own error estimate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -42,6 +44,11 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-9
+# Gauss-Legendre check of the dipole element: _GL_PANELS equal panels of
+# _GL_NODES nodes per region, with _GL_COARSE_PANELS panels as the estimate
+_GL_NODES = 160
+_GL_PANELS = 8
+_GL_COARSE_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -211,37 +218,67 @@ def dipole_matrix_element(psi0: PiecewiseEigenfunction, psi1: PiecewiseEigenfunc
     """|<psi0| x |psi1>| for an opposite-parity pair; positive by the sign
     convention (equivalent to flipping psi1's global sign when needed).
 
-    The analytic value is validated against adaptive quadrature to 1e-10
-    relative."""
+    The analytic value is checked on every call against a Gauss-Legendre
+    rule (8 panels of 160 nodes per region) to 1e-10 relative. The rule's
+    own error estimate, its disagreement with 4 panels, must meet the same
+    tolerance; either miss raises QuadratureError."""
     if psi0.parity == psi1.parity:
         raise ValueError("dipole element needs opposite parities")
     d = position_matrix_element(psi0, psi1)
     edge = psi0.a + psi0.b
     if not 0.0 < abs(d) < edge:
         raise ValueError(f"dipole element {d!r} outside (0, a+b)")
-    d_num = _quad_position(psi0, psi1)
+    d_num, d_err = _quad_position(psi0, psi1)
     tol = 1e-10 * max(abs(d), 1e-3 * edge)
+    if d_err > tol:
+        raise QuadratureError(
+            f"Gauss-Legendre rule unconverged: {_GL_PANELS} and {_GL_COARSE_PANELS} "
+            f"panels disagree by {d_err:.1e}, beyond {tol:.1e}")
     if abs(d_num - d) > tol:
         raise QuadratureError(
             f"analytic dipole {d:.15e} vs quadrature {d_num:.15e} beyond {tol:.1e}")
     return abs(d)
 
 
-def _quad_position(f: PiecewiseEigenfunction, g: PiecewiseEigenfunction) -> float:
-    # local import: scipy.integrate costs ~0.5 s to load, paid only by this oracle path
-    from scipy.integrate import quad
-
+def _quad_position(f: PiecewiseEigenfunction, g: PiecewiseEigenfunction) -> tuple[float, float]:
+    """<f| x |g> by the Gauss-Legendre rule over the left valley, the barrier
+    and the right valley, and the summed error estimate of the three."""
     edge = f.a + f.b
 
-    def integrand(x: float) -> float:
-        xv = np.array([x])
-        return float(x * f(xv)[0] * g(xv)[0])
+    def integrand(x: np.ndarray) -> np.ndarray:
+        return x * f(x) * g(x)
 
-    total = 0.0
+    total = err = 0.0
     for lo, hi in ((-edge, -f.b), (-f.b, f.b), (f.b, edge)):
-        val, _ = quad(integrand, lo, hi, epsabs=1e-14 * edge, epsrel=1e-12, limit=200)
+        val, val_err = _gauss_legendre(integrand, lo, hi)
         total += val
-    return total
+        err += val_err
+    return total, err
+
+
+def _gauss_legendre(func, lo: float, hi: float) -> tuple[float, float]:
+    """int_lo^hi func by _GL_PANELS panels, and its distance from the
+    _GL_COARSE_PANELS-panel value; both rules share one call of func."""
+    nodes, weights = _panel_rules()
+    fine, coarse = (hi - lo) * (weights @ func(lo + (hi - lo) * nodes))
+    return float(fine), abs(float(fine - coarse))
+
+
+@functools.cache
+def _panel_rules() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, 1] of the fine and then the coarse panel rule, and a
+    2-row weight matrix whose rows are the two rules. Built on first use,
+    not at import: leggauss(160) costs tens of ms. Read-only, as shared."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    counts = (_GL_PANELS, _GL_COARSE_PANELS)
+    nodes = np.concatenate([((np.arange(p)[:, None] + 0.5 * (x + 1.0)) / p).ravel()
+                            for p in counts])
+    weights = np.zeros((2, nodes.size))
+    split = _GL_PANELS * _GL_NODES
+    weights[0, :split] = np.tile(w, _GL_PANELS) / (2.0 * _GL_PANELS)
+    weights[1, split:] = np.tile(w, _GL_COARSE_PANELS) / (2.0 * _GL_COARSE_PANELS)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)

@@ -153,13 +153,21 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only inside the oracle functions that call it
+    # scipy is imported only inside the grid-oracle functions that call it,
+    # so neither the import nor `dynamics` and `rabi` (which build the dipole
+    # element and its Gauss-Legendre check) load any of it
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, dwell, dwell.cli; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stdout == "[]\n"
+    code = ("import sys; from dwell.cli import main; "
+            "codes = [main([cmd, '--out', sys.argv[1]]) for cmd in ('dynamics', 'rabi')]; "
+            "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout == "[0, 0] []\n"
 
 
 def test_dynamics_probabilities_and_periodicity(capsys):

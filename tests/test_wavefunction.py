@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from dwell import (
     EnergyLevel,
     LocalizedState,
+    WellSpec,
     build_eigenfunction,
     build_grid_hamiltonian,
     count_nodes,
@@ -14,11 +15,13 @@ from dwell import (
     eigenvector,
     localized_state_value,
     lowest_eigenvalues,
+    lowest_pair,
     position_matrix_element,
     solve_below_barrier,
     to_dimensionless,
 )
 from dwell.errors import MatchFailure
+from dwell.wavefunction import _gauss_legendre, _quad_position
 
 # frozen from an independent 50-digit evaluation at the reference geometry
 DIPOLE_ROW1 = 5.71939355632e-7  # m
@@ -120,6 +123,44 @@ def test_dipole_matches_grid_quadrature(table_well, table_pair):
     d_grid = float(np.sum(h.positions * v0 * v1) * h.dx)
     d = dipole_matrix_element(psi0, psi1)
     assert abs(d_grid / d - 1.0) <= 1e-3
+
+
+def _rule_against_analytic(well):
+    """Relative distance of the Gauss-Legendre rule from the analytic dipole
+    element of pair 0, scaled as in the dipole check."""
+    level0, level1 = lowest_pair(to_dimensionless(well)).levels
+    psi0, psi1 = build_eigenfunction(well, level0), build_eigenfunction(well, level1)
+    d = position_matrix_element(psi0, psi1)
+    d_num, _ = _quad_position(psi0, psi1)
+    dipole_matrix_element(psi0, psi1)  # the panel estimate does not raise
+    return abs(d_num - d) / max(abs(d), 1e-3 * (well.a + well.b)), psi0.beta * well.b
+
+
+def test_gauss_legendre_rule_matches_analytic_on_table1_widths(table_well):
+    for b in np.linspace(30e-9, 780e-9, 40):
+        err, _ = _rule_against_analytic(table_well.with_b(b))
+        assert err <= 1e-13
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
+@pytest.mark.parametrize("opacity", [30.0, 100.0, 200.0, 349.0])
+def test_gauss_legendre_rule_matches_analytic_on_opaque_wells(table_well, kappa, opacity):
+    # lambda puts beta*b just below `opacity` (the lowest level has eps < 1),
+    # up to the beta*b = 350 guard of build_eigenfunction
+    lam = opacity / (math.pi * math.sqrt(kappa))
+    well = WellSpec(a=table_well.a, b=lam * table_well.a, k=kappa * table_well.barrier_bound,
+                    m=table_well.m)
+    err, beta_b = _rule_against_analytic(well)
+    assert 0.99 * opacity <= beta_b <= opacity
+    assert err <= 1e-13
+
+
+def test_gauss_legendre_estimate_sees_a_kink():
+    # |x - 0.3| has its kink inside a panel of both rules
+    val, err = _gauss_legendre(lambda x: np.abs(x - 0.3), -1.0, 1.0)
+    assert err > 1e-8 and abs(val - 1.09) > 1e-8
+    val, err = _gauss_legendre(np.cos, -1.0, 1.0)
+    assert err <= 1e-15 and val == pytest.approx(2.0 * math.sin(1.0), rel=1e-15)
 
 
 def test_dipole_requires_opposite_parity(table_pair):
