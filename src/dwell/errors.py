@@ -18,6 +18,11 @@ class PoleCollision(DwellError):
     """A root bracket touched a pole of the cotangent condition function."""
 
 
+class BarrierUnderflow(DwellError):
+    """The barrier argument x = pi lambda u is so small that exp(-x) rounds
+    to 1, where the odd condition cannot be evaluated in float64."""
+
+
 class BracketFailure(DwellError):
     """No sign change was found in the scanned interval."""
 

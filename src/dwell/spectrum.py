@@ -12,8 +12,21 @@ with, in dimensionless form (eps = E/B, kappa = k/B, lambda = b/a),
 
 Pair n is bracketed inside ((n + 1/2)^2, min((n + 1)^2, kappa)); the even
 member always exists there, the odd member can be pushed above the barrier.
-Roots are located by bisection (which respects the bracket) and polished
-with Newton steps using analytic derivatives.
+F = g - h (or g - j) is strictly increasing on the bracket, so each root is
+found in three steps:
+
+- a scout solves the phase form P(s) = s - n - 1/2 - atan(R(s))/pi = 0,
+  with s = sqrt(eps) and R = h/s (even) or j/s (odd), by safeguarded
+  Newton (P' >= 1 there);
+- two evaluations of F certify a band a few thousand ulp wide around the
+  scout's root, beyond which the sign of the computed F is known;
+- bisection narrows the bracket to 1e-6 without evaluating F at the
+  midpoints outside the band, and Newton steps with analytic derivatives
+  polish the root inside the bracket bisection leaves.
+
+The bracket, and so every level bit, is that of plain bisection, which
+runs instead whenever the scout or its certificate fails.  The reported
+iterations count bracket halvings and Newton steps, not evaluations of F.
 
 A pair whose even/odd splitting float64 cannot resolve is flagged by
 LevelDiagnostics.degenerate_pair, set once per pair by the solver; that
@@ -28,6 +41,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import (
+    BarrierUnderflow,
     BracketFailure,
     ConvergenceFailure,
     DegenerateGap,
@@ -62,6 +76,12 @@ _STEP_TOL = 1e-13
 _RESIDUAL_TOL = 1e-13
 _BISECT_WIDTH = 1e-6
 _MAX_ITER = 300
+# certified walk: band half-width delta = _BAND_ULPS ulp(r) + _BAND_ABS
+_BAND_ULPS = 1e3
+_BAND_ABS = 1e-11
+_POLE_MARGIN = 1e-6
+_SCOUT_ITER = 40
+_SCOUT_TOL = 1e-12
 
 Parity = Literal["even", "odd"]
 
@@ -142,6 +162,21 @@ def cot_squared(eps: float) -> float:
     return cot * cot
 
 
+def _barrier_term(u: float, lam: float, parity: Parity) -> tuple[float, float]:
+    """T(x) = tanh(x) (even) or coth(x) (odd) at x = pi lam u, with x T'(x)."""
+    x = math.pi * lam * u
+    t = math.tanh(x)
+    e = math.exp(-x)  # sech and csch as 2e/(1 +- e^2), without overflowing cosh/sinh
+    if parity == "even":
+        sech = 2.0 * e / (1.0 + e * e)
+        return t, x * (sech * sech)
+    if e == 1.0:  # x < 2^-54: 1 - e^2 rounds to 0, so csch cannot be formed
+        raise BarrierUnderflow(f"odd condition unresolvable: exp(-x) rounds to 1 at "
+                               f"barrier argument x = {x!r}")
+    csch = 2.0 * e / (1.0 - e * e)
+    return 1.0 / t, -x * (csch * csch)
+
+
 def _f_and_deriv(eps: float, kappa: float, lam: float, parity: Parity) -> tuple[float, float]:
     """F = g - h (even) or g - j (odd), with dF/deps."""
     s, sin_pis, cot = _cot(eps)
@@ -150,49 +185,120 @@ def _f_and_deriv(eps: float, kappa: float, lam: float, parity: Parity) -> tuple[
     dg = (-cot + math.pi * s * csc2) / (2.0 * s)
 
     u = math.sqrt(kappa - eps)
-    x = math.pi * lam * u
-    t = math.tanh(x)
-    e = math.exp(-x)  # sech and csch as 2e/(1 +- e^2), without overflowing cosh/sinh
-    if parity == "even":
-        sech = 2.0 * e / (1.0 + e * e)
-        drhs_du = t + x * (sech * sech)
-    else:
-        t = 1.0 / t
-        csch = 2.0 * e / (1.0 - e * e)
-        drhs_du = t - x * (csch * csch)
-    drhs = -drhs_du / (2.0 * u)
+    t, x_dt = _barrier_term(u, lam, parity)
+    drhs = -(t + x_dt) / (2.0 * u)
     return g - u * t, dg - drhs
 
 
-def _refine_root(lo: float, hi: float, kappa: float, lam: float,
-                 parity: Parity) -> tuple[float, float, int]:
-    """Safeguarded bisection+Newton inside a sign-changing bracket.
+def _phase(s: float, n: int, kappa: float, lam: float, parity: Parity) -> tuple[float, float]:
+    """Phase form P(s) = s - n - 1/2 - atan(R(s))/pi of pair n, with dP/ds;
+    R = u T(x)/s and u = sqrt(kappa - s^2).  P' >= 1 on the pair bracket."""
+    u = math.sqrt(kappa - s * s)
+    t, x_dt = _barrier_term(u, lam, parity)
+    r = u * t / s
+    dr = -(t + x_dt) / u - r / s
+    return s - n - 0.5 - math.atan(r) / math.pi, 1.0 - dr / (math.pi * (1.0 + r * r))
 
-    Returns (root, residual, iterations)."""
-    f_lo, _ = _f_and_deriv(lo, kappa, lam, parity)
-    f_hi, _ = _f_and_deriv(hi, kappa, lam, parity)
+
+def _phase_scout(n: int, lo: float, hi: float, kappa: float, lam: float,
+                 parity: Parity) -> float | None:
+    """Root of pair n's phase form in [sqrt(lo), sqrt(hi)], as eps = s^2, by
+    safeguarded Newton from s = n + 1/2 + atan(R(n + 1/2))/pi; None when it
+    does not converge or an evaluation raises."""
+    s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
+    try:
+        s = n + 0.5 - _phase(n + 0.5, n, kappa, lam, parity)[0]
+        for _ in range(_SCOUT_ITER):
+            if not s_lo < s < s_hi:
+                s = 0.5 * (s_lo + s_hi)
+            p, dp = _phase(s, n, kappa, lam, parity)
+            if p < 0.0:
+                s_lo = s
+            else:
+                s_hi = s
+            step = p / dp
+            s -= step
+            if abs(step) <= _SCOUT_TOL * s:
+                return s * s
+    except (DwellError, ArithmeticError, ValueError):
+        pass
+    return None
+
+
+def _certified_band(n: int, lo: float, hi: float, kappa: float, lam: float,
+                    parity: Parity) -> tuple[float, float] | None:
+    """(r - 2 delta, r + 2 delta) around the scout root r, or None when
+    the two evaluations of F at r -+ delta do not certify it.
+
+    Rounding bound, with u = 2^-53.  The computed F = g - h carries a
+    relative error of a few u in each term, plus the rounding of
+    pi sqrt(eps), which acts on g as a shift of eps by a few ulp(eps).  Its
+    sign can differ from the true F's only where |F| is below that error.
+    The true dF/deps >= pi/2 + pi h^2 / (2 eps) on the whole bracket, and
+    g = h at the true root r*, so this zone is an interval around r* of
+    half-width rho <= few ulp(eps) + 6u sqrt(eps): below delta / 100 for
+    delta = 1e3 ulp(r) + 1e-11.  A computed F(r - delta) < 0 < F(r + delta)
+    then puts r* within delta + rho of r, so every point below r - 2 delta
+    or above r + 2 delta lies more than rho from r*, and its computed F
+    has the sign of the true F there, which monotonicity gives."""
+    r = _phase_scout(n, lo, hi, kappa, lam, parity)
+    if r is None:
+        return None
+    delta = _BAND_ULPS * math.ulp(r) + _BAND_ABS
+    if not (lo < r - delta and r + delta < hi):
+        return None
+    try:
+        f_below, _ = _f_and_deriv(r - delta, kappa, lam, parity)
+        f_above, _ = _f_and_deriv(r + delta, kappa, lam, parity)
+    except (DwellError, ArithmeticError):
+        return None
+    if not f_below < 0.0 < f_above:
+        return None
+    return r - 2.0 * delta, r + 2.0 * delta
+
+
+def _refine_root(lo: float, hi: float, kappa: float, lam: float, parity: Parity,
+                 n: int, f_hi: float) -> tuple[float, float, int, float]:
+    """Safeguarded bisection+Newton inside a sign-changing bracket of pair
+    n, where F(hi) = f_hi > 0.
+
+    Bisection skips the evaluation of every midpoint outside the certified
+    band, whose sign is known, except within a 1e-6 relative margin of the
+    cot pole (n+1)^2, where sin(pi sqrt(eps)) loses its relative accuracy.
+    Each midpoint it does evaluate, and the bracket it leaves to Newton,
+    are those of plain bisection.  Returns (root, residual, iterations,
+    dF/deps at the root); iterations count bracket halvings and Newton
+    steps, not evaluations."""
+    f_lo, df_lo = _f_and_deriv(lo, kappa, lam, parity)
     if f_lo == 0.0:
-        return lo, 0.0, 0
-    if f_hi == 0.0:
-        return hi, 0.0, 0
+        return lo, 0.0, 0, df_lo
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise BracketFailure(f"no sign change for the {parity} condition", (lo, hi))
 
+    band = _certified_band(n, lo, hi, kappa, lam, parity) if hi - lo > _BISECT_WIDTH else None
+    below, above = band or (-math.inf, math.inf)
+    ceiling = (1.0 - _POLE_MARGIN) * (n + 1) ** 2
     iters = 0
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        f_mid, _ = _f_and_deriv(mid, kappa, lam, parity)
         iters += 1
+        if mid < below:  # F(mid) < 0, the sign of f_lo
+            lo = mid
+            continue
+        if above < mid < ceiling:
+            hi = mid
+            continue
+        f_mid, df_mid = _f_and_deriv(mid, kappa, lam, parity)
         if f_mid == 0.0:
-            return mid, 0.0, iters
+            return mid, 0.0, iters, df_mid
         if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
+            hi = mid
 
     x = 0.5 * (lo + hi)
     f, df = _f_and_deriv(x, kappa, lam, parity)
-    x_best, f_best = x, abs(f)
+    x_best, f_best, df_best = x, abs(f), df
     while iters < _MAX_ITER:
         iters += 1
         step = f / df if df != 0.0 else math.inf
@@ -207,11 +313,11 @@ def _refine_root(lo: float, hi: float, kappa: float, lam: float,
             hi = x_new
         x, f, df = x_new, f_new, df_new
         if abs(f) < f_best:
-            x_best, f_best = x, abs(f)
+            x_best, f_best, df_best = x, abs(f), df
         if f_best <= _RESIDUAL_TOL and abs(step) <= _STEP_TOL:
-            return x_best, f_best, iters
+            return x_best, f_best, iters, df_best
         if abs(step) <= 4.0 * math.ulp(x):
-            return x_best, f_best, iters
+            return x_best, f_best, iters, df_best
     raise ConvergenceFailure(
         f"{parity} root did not converge in {_MAX_ITER} iterations (bracket [{lo}, {hi}])")
 
@@ -227,8 +333,9 @@ def _pair_bracket(n: int, kappa: float) -> tuple[float, float, bool]:
 
 
 def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
-                      kappa: float, lam: float, parity: Parity) -> float | None:
-    """Find an evaluation point below the upper bracket end with F > 0.
+                      kappa: float, lam: float, parity: Parity) -> tuple[float, float] | None:
+    """Find an evaluation point below the upper bracket end with F > 0, as
+    (point, F there).
 
     Near a cot pole g -> +inf, so we only need to creep toward the pole
     until the sign flips.  When the barrier caps the bracket, the limit of
@@ -256,7 +363,7 @@ def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
             shrink *= 1e-3
             continue
         if f > 0.0:
-            return point
+            return point, f
         shrink *= 1e-3
         if shrink * width < 2.0 * math.ulp(hi):
             break
@@ -266,8 +373,9 @@ def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
         f"could not find a positive {parity} condition value below the pole at {hi}")
 
 
-def _pair_unresolvable(eps: float, kappa: float, lam: float) -> bool:
-    """True when the even/odd pair at eps cannot be separated in float64.
+def _pair_unresolvable(eps: float, kappa: float, lam: float, df: float) -> bool:
+    """True when the even/odd pair at eps cannot be separated in float64;
+    df is the even dF/deps at eps.
 
     Two criteria: tanh and coth of the barrier argument agree to < 1e-15,
     or the first-order estimate of the root separation,
@@ -282,10 +390,6 @@ def _pair_unresolvable(eps: float, kappa: float, lam: float) -> bool:
     rhs_diff = u * (1.0 / t - t)  # = 2u / sinh(2x), positive
     if rhs_diff / u < 1e-15:
         return True
-    try:
-        _, df = _f_and_deriv(eps, kappa, lam, "even")
-    except PoleCollision:
-        return False
     separation = rhs_diff / abs(df) if df != 0.0 else math.inf
     return separation < max(2.0 * _STEP_TOL, 64.0 * math.ulp(eps))
 
@@ -302,17 +406,23 @@ def _solve_pair_diagnosed(
     even_hi = _upper_eval_point(lo, hi, capped, kappa, lam, "even")
     if even_hi is None:
         raise BracketFailure(f"even condition has no sign change for pair {n}", (lo, hi))
-    eps_even, res_even, it_even = _refine_root(lo, even_hi, kappa, lam, "even")
+    eps_even, res_even, it_even, df_even = _refine_root(
+        lo, even_hi[0], kappa, lam, "even", n, even_hi[1])
     even = EnergyLevel(2 * n, "even", eps_even, eps_even * scale)
-    degenerate = _pair_unresolvable(eps_even, kappa, lam)
+    degenerate = _pair_unresolvable(eps_even, kappa, lam, df_even)
     even_diag = LevelDiagnostics(2 * n, it_even, res_even, degenerate)
 
     odd_hi = _upper_eval_point(lo, hi, capped, kappa, lam, "odd")
     if odd_hi is None:
         return even, even_diag, None, None
-    eps_odd, res_odd, it_odd = _refine_root(lo, odd_hi, kappa, lam, "odd")
+    eps_odd, res_odd, it_odd, _ = _refine_root(lo, odd_hi[0], kappa, lam, "odd", n, odd_hi[1])
     if degenerate and eps_odd < eps_even:
         eps_odd = eps_even  # tie, not a fabricated (negative) splitting
+    elif not degenerate and eps_odd <= eps_even:
+        exc = ConvergenceFailure(f"pair {n}: odd level {eps_odd!r} is not above even level "
+                                 f"{eps_even!r}, although the pair is resolvable")
+        exc.pair_index = n
+        raise exc
     odd = EnergyLevel(2 * n + 1, "odd", eps_odd, eps_odd * scale)
     odd_diag = LevelDiagnostics(2 * n + 1, it_odd, res_odd, degenerate)
     return even, even_diag, odd, odd_diag
@@ -332,7 +442,7 @@ def _solve_pairs(well: ScaledWell, pairs: float) -> SpectrumResult:
     while n < pairs and (n + 0.5) ** 2 < well.kappa:
         try:
             even, even_diag, odd, odd_diag = _solve_pair_diagnosed(n, well)
-        except (BracketFailure, PoleCollision, ConvergenceFailure) as exc:
+        except DwellError as exc:
             exc.pair_index = n
             raise
         levels.append(even)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal
 
@@ -120,6 +121,9 @@ def build_eigenfunction(well: WellSpec, level: EnergyLevel) -> PiecewiseEigenfun
     sin_aa = math.sin(alpha * a)
     if abs(sin_aa) < 1e-14:
         raise MatchFailure("sin(alpha a) vanishes; level sits on a node at the wall side")
+    if math.cosh(beta * b) > math.sqrt(sys.float_info.max) * abs(sin_aa):
+        raise MatchFailure(f"valley amplitude cosh(beta b)/sin(alpha a) at beta*b = "
+                           f"{beta * b:.1f} overflows its square")
 
     if level.parity == "even":
         amp_bar_raw = 1.0

@@ -17,6 +17,7 @@ from dwell import (
     verify_bounds,
 )
 from dwell.errors import (
+    BarrierUnderflow,
     BracketFailure,
     ConvergenceFailure,
     DegenerateGap,
@@ -366,3 +367,33 @@ def test_lowest_pair_alone_feeds_sweep(table_well, monkeypatch):
 
     monkeypatch.setattr(spectrum, "_solve_pair_diagnosed", fail_upper_pairs)
     assert gap_sweep(table_well, [1e-7, 2e-7]) == before
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-300, 5e-324])
+@pytest.mark.parametrize("kappa", [40.0, 2000.0, 1e5])
+def test_vanishing_barrier_ends_in_dwell_error(kappa, lam):
+    # exp(-pi lam u) rounds to 1, where the odd condition cannot be evaluated
+    with pytest.raises(BarrierUnderflow) as info:
+        solve_below_barrier(ScaledWell(kappa, lam))
+    assert info.value.pair_index == 0
+
+
+def test_vanishing_barrier_near_the_top_is_not_a_missing_level():
+    # kappa one ulp below the pole 56^2: the top odd level sits 1.2e-8 below
+    # kappa, but the probes above it find exp(-x) == 1; the pair must fail,
+    # not report its odd level as pushed above the barrier
+    with pytest.raises(BarrierUnderflow) as info:
+        solve_below_barrier(ScaledWell(math.nextafter(3136.0, 0.0), 1.9296726144975342e-12))
+    assert info.value.pair_index == 55
+
+
+def test_inverted_resolvable_pair_raises_convergence_failure():
+    # Newton stalls one bisection width off the odd root of pair 438, below
+    # the even level, although the pair is far from degenerate
+    well = ScaledWell(248795.34095324992, 0.014441382492667404)
+    with pytest.raises(ConvergenceFailure, match="not above even level") as info:
+        solve_pair(438, well)
+    assert info.value.pair_index == 438
+    with pytest.raises(ConvergenceFailure) as info:
+        solve_below_barrier(well)
+    assert info.value.pair_index == 438

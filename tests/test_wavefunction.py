@@ -318,3 +318,16 @@ def test_overflow_guard(table_well):
     wide = table_well.with_b(40e-6)  # beta*b > 350
     with pytest.raises(MatchFailure):
         build_eigenfunction(wide, level)
+
+
+def test_amplitude_overflow_is_a_match_failure(table_well):
+    # kappa = 1e6, beta*b ~ 349: pair 0 sits near the wall-side node, so
+    # cosh(beta b)/sin(alpha a) ~ 1e154 and its square overflows a float
+    lam = 349.0 / (1000.0 * math.pi)
+    well = WellSpec(a=table_well.a, b=lam * table_well.a, k=1e6 * table_well.barrier_bound,
+                    m=table_well.m)
+    result = lowest_pair(to_dimensionless(well))
+    assert len(result.levels) == 2
+    for level in result.levels:
+        with pytest.raises(MatchFailure, match="overflows its square"):
+            build_eigenfunction(well, level)
