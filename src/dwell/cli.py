@@ -16,6 +16,11 @@ Exit codes, one per channel:
   2  nothing written and a 'config error: ...' line on stderr (bad flag
      value or config file, unreadable config file or unwritable output
      path), or an argparse usage error.
+
+Each command imports what it computes with: the module loads only the
+pure-`math` spectrum, thermal and unit code, so `spectrum`, `table1`,
+`thermal` and `gap-sweep` never load numpy; `dynamics`, `rabi`, `density`
+and the grid oracle import numpy (and the oracle scipy) when they run.
 """
 
 from __future__ import annotations
@@ -23,19 +28,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
-from . import density as density_mod
 from . import thermal as thermal_mod
-from .dynamics import (HarmonicDrive, TwoLevelSystem, flip_flop, rabi_localized,
-                       rabi_off_resonance, x_expectation)
 from .errors import AmbiguousPurity, ConfigError, DwellError
-from .grid_oracle import build_grid_hamiltonian, lowest_eigenvalues
 from .spectrum import find_b_for_gap, gap_sweep, solve_below_barrier
 from .units import CODATA_CONSTANTS, PhysicalConstants, WellSpec, constants_from_env, to_dimensionless
 
@@ -167,9 +167,12 @@ def _coerce(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig:
         return replace(cfg, **{key: value.lower() in ("true", "1", "yes")})
     if kind == "int":
         try:
-            return replace(cfg, **{key: int(value)})
+            number = int(value)
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {value!r}{where}") from None
+        if number < 1:
+            raise ConfigError(f"{key} must be a positive integer, got {value!r}{where}")
+        return replace(cfg, **{key: number})
     return replace(cfg, **{key: value})
 
 
@@ -202,9 +205,9 @@ class Report:
 def _fmt_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # numpy registers its scalars with both ABCs
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         if math.isnan(value):
             return "nan"
         return f"{value:.9g}"
@@ -234,6 +237,8 @@ def emit(report: Report, cfg: RunConfig) -> int:
 
 
 def _json_default(value):
+    import numpy as np  # only a numpy value gets here, so numpy is already loaded
+
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -265,6 +270,8 @@ def cmd_spectrum(cfg: RunConfig, report: Report) -> None:
     report.rows = [[level.index, level.parity, level.energy, level.eps,
                     diag[level.index].residual] for level in result.levels]
     if cfg.oracle:
+        from .grid_oracle import build_grid_hamiltonian, lowest_eigenvalues
+
         report.columns += ["grid_energy_J", "grid_rel_diff"]
         grid = lowest_eigenvalues(build_grid_hamiltonian(spec, cfg.grid_n),
                                   len(result.levels))
@@ -277,14 +284,22 @@ def table1_rows():
     return gap_sweep(TABLE1_WELL, list(TABLE1_B_VALUES))
 
 
+def _line_fit(x: list[float], y: list[float]) -> tuple[float, float]:
+    """Least-squares line y = slope*x + intercept, about the means."""
+    x_mean = math.fsum(x) / len(x)
+    y_mean = math.fsum(y) / len(y)
+    dx = [xi - x_mean for xi in x]
+    slope = math.fsum(d * (yi - y_mean) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
+    return slope, y_mean - slope * x_mean
+
+
 def cmd_table1(cfg: RunConfig, report: Report) -> None:
     report.columns = ["b_nm", "e0_J", "e1_J", "delta_e_J", "tau_s"]
     rows_data = table1_rows()
     report.rows = [[r.b * 1e9, r.e0, r.e1, r.delta_e, r.tau] for r in rows_data]
     # log-linear fit of the splitting decay
-    b = np.array([r.b for r in rows_data])
-    ln_gap = np.log([r.delta_e for r in rows_data])
-    slope, intercept = np.polyfit(b, ln_gap, 1)
+    slope, intercept = _line_fit([r.b for r in rows_data],
+                                 [math.log(r.delta_e) for r in rows_data])
     report.records = [
         {"type": "info",
          "message": f"ln(delta_e) vs b fit: slope = {slope:.9g} 1/m, "
@@ -305,6 +320,10 @@ def cmd_table1(cfg: RunConfig, report: Report) -> None:
 
 
 def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
+    import numpy as np
+
+    from .dynamics import TwoLevelSystem, flip_flop, x_expectation
+
     report.columns = ["t_s", "p_l", "p_r", "x_expect_m"]
     sys_ = TwoLevelSystem.from_well(cfg.well())
     period = 2.0 * math.pi / sys_.omega
@@ -317,6 +336,10 @@ def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
 
 
 def cmd_rabi(cfg: RunConfig, report: Report) -> None:
+    import numpy as np
+
+    from .dynamics import HarmonicDrive, TwoLevelSystem, rabi_localized, rabi_off_resonance
+
     report.columns = ["t_s", "p0", "p1", "p_l", "p_r"]
     sys_ = TwoLevelSystem.from_well(cfg.well())
     amp = cfg.drive_amp if cfg.drive_amp is not None else 0.1 * sys_.hbar * sys_.omega
@@ -372,6 +395,10 @@ def cmd_gap_sweep(cfg: RunConfig, report: Report) -> None:
 
 
 def cmd_density(cfg: RunConfig, report: Report) -> None:
+    import numpy as np
+
+    from . import density as density_mod
+
     report.columns = ["label", "abs_det", "classification", "purity"]
     for label, state in density_mod.reference_states():
         det = float(abs(np.linalg.det(state.coeffs)))
@@ -384,6 +411,8 @@ def cmd_density(cfg: RunConfig, report: Report) -> None:
 
 
 def cmd_oracle_check(cfg: RunConfig, report: Report) -> None:
+    from .grid_oracle import build_grid_hamiltonian, lowest_eigenvalues
+
     spec = cfg.well()
     report.columns = ["index", "parity", "energy_solver_J", "energy_grid_J", "rel_diff",
                       "within_tol"]

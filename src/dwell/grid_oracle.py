@@ -81,11 +81,15 @@ def build_grid_hamiltonian(spec: WellSpec, n: int = 20_000) -> GridHamiltonian:
     hbar = spec.constants.hbar
     t = hbar**2 / (2.0 * spec.m * dx * dx)
 
-    centers = -half + (np.arange(n) + 0.5) * dx
-    v = np.where(np.abs(centers) <= spec.b, spec.k, 0.0)
+    try:
+        centers = -half + (np.arange(n) + 0.5) * dx
+        v = np.where(np.abs(centers) <= spec.b, spec.k, 0.0)
+        edges = -half + np.arange(n + 1) * dx
+        diag = np.full(n, 2.0 * t)
+    except MemoryError:
+        raise ValueError(f"cannot allocate a grid of n = {n} cells") from None
 
     # exact cell averages where a potential step crosses a cell
-    edges = -half + np.arange(n + 1) * dx
     for s, u_left in ((-spec.b, 0.0), (spec.b, spec.k)):
         i = int(np.searchsorted(edges, s)) - 1
         if 0 <= i < n and edges[i] < s < edges[i + 1]:
@@ -93,7 +97,7 @@ def build_grid_hamiltonian(spec: WellSpec, n: int = 20_000) -> GridHamiltonian:
             u_right = spec.k - u_left
             v[i] = u_left * phi + u_right * (1.0 - phi)
 
-    diag = np.full(n, 2.0 * t) + v
+    diag += v
     diag[0] += t  # antisymmetric ghost: psi = 0 at the wall cell edge
     diag[-1] += t
     return GridHamiltonian(n, dx, diag, -t, v, half, spec.barrier_bound)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 import dwell.cli
+import dwell.grid_oracle
 from dwell.cli import (
     TABLE1_B_VALUES,
+    _line_fit,
     main,
     parse_quantity,
     table1_rows,
@@ -155,19 +158,24 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
 def test_import_loads_no_scipy():
     # scipy is imported only inside the grid-oracle functions that call it,
     # so neither the import nor `dynamics` and `rabi` (which build the dipole
-    # element and its Gauss-Legendre check) load any of it
+    # element and its Gauss-Legendre check) load any of it.  numpy is
+    # imported only by the commands that compute with it, so neither the
+    # import nor the pure-math commands, in either format, load any of it
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, dwell, dwell.cli; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    loaded = "sorted(m for m in sys.modules if m.partition('.')[0] == {!r})".format
+    code = f"import sys, dwell, dwell.cli; print({loaded('scipy')}, {loaded('numpy')})"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[] []\n"
     code = ("import sys; from dwell.cli import main; "
+            "light = [main([cmd, '--format', fmt, '--out', sys.argv[1]]) "
+            "for cmd in ('spectrum', 'table1', 'thermal', 'gap-sweep') for fmt in ('csv', 'json')]; "
+            f"print(light, {loaded('numpy')}); "
             "codes = [main([cmd, '--out', sys.argv[1]]) for cmd in ('dynamics', 'rabi')]; "
-            "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+            f"print(codes, {loaded('scipy')})")
     result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout == "[0, 0] []\n"
+    assert result.stdout == "[0, 0, 0, 0, 0, 0, 0, 0] []\n[0, 0] []\n"
 
 
 def test_dynamics_probabilities_and_periodicity(capsys):
@@ -267,11 +275,45 @@ def _raise_convergence_failure(*_):
 
 def test_spectrum_oracle_failure_is_an_error_record(capsys, monkeypatch):
     # a solver error in any command becomes one error record: columns, no rows
-    monkeypatch.setattr(dwell.cli, "lowest_eigenvalues", _raise_convergence_failure)
+    monkeypatch.setattr(dwell.grid_oracle, "lowest_eigenvalues", _raise_convergence_failure)
     code, out = run_cli(["spectrum", "--oracle"], capsys)
     assert code == 1
     assert out == ("index,parity,energy_J,eps,residual,grid_energy_J,grid_rel_diff\n"
                    "# error: injected failure\n")
+
+
+@pytest.mark.parametrize("argv", [["dynamics", "--t-steps", "0"], ["rabi", "--t-steps", "-3"],
+                                  ["spectrum", "--oracle", "--grid-n", "0"]])
+def test_non_positive_count_is_a_config_error(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    key, value = argv[-2][2:].replace("-", "_"), argv[-1]
+    assert captured.err == f"config error: {key} must be a positive integer, got {value!r} (flag)\n"
+
+
+def test_unallocatable_grid_is_a_value_error(capsys, monkeypatch):
+    # the allocation is made to fail; a grid that large is never requested
+    def _raise_memory_error(*_args, **_kwargs):
+        raise MemoryError
+    monkeypatch.setattr(dwell.grid_oracle.np, "arange", _raise_memory_error)
+    code = main(["spectrum", "--oracle", "--grid-n", "99999999999999"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == \
+        "error: ValueError: cannot allocate a grid of n = 99999999999999 cells\n"
+
+
+def test_table1_fit_matches_polyfit():
+    rows = table1_rows()
+    b = [r.b for r in rows]
+    ln_gap = [math.log(r.delta_e) for r in rows]
+    slope, intercept = _line_fit(b, ln_gap)
+    ref_slope, ref_intercept = np.polyfit(b, ln_gap, 1)
+    assert slope == pytest.approx(ref_slope, rel=1e-12)
+    assert intercept == pytest.approx(ref_intercept, rel=1e-12)
 
 
 def test_thermal_keeps_t_bound_when_the_solver_fails(capsys, monkeypatch):
