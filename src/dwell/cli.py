@@ -319,16 +319,25 @@ def cmd_table1(cfg: RunConfig, report: Report) -> None:
     ]
 
 
-def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
+def _time_samples(t_max: float, t_steps: int):
+    """t_steps equally spaced times on [0, t_max]; a count too large to
+    allocate is an invalid parameter, not a crash."""
     import numpy as np
 
+    try:
+        return np.linspace(0.0, t_max, t_steps)
+    except MemoryError:
+        raise ValueError(f"cannot allocate {t_steps} time samples") from None
+
+
+def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
     from .dynamics import TwoLevelSystem, flip_flop, x_expectation
 
     report.columns = ["t_s", "p_l", "p_r", "x_expect_m"]
     sys_ = TwoLevelSystem.from_well(cfg.well())
     period = 2.0 * math.pi / sys_.omega
     t_max = cfg.t_max if cfg.t_max is not None else period
-    times = np.linspace(0.0, t_max, cfg.t_steps)
+    times = _time_samples(t_max, cfg.t_steps)
     p_l, p_r = flip_flop(sys_, math.pi / 2.0, times)  # prepared on the L side
     x = x_expectation(sys_, "L", times)
     report.rows = [[float(t), float(pl), float(pr), float(xv)]
@@ -336,8 +345,6 @@ def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
 
 
 def cmd_rabi(cfg: RunConfig, report: Report) -> None:
-    import numpy as np
-
     from .dynamics import HarmonicDrive, TwoLevelSystem, rabi_localized, rabi_off_resonance
 
     report.columns = ["t_s", "p0", "p1", "p_l", "p_r"]
@@ -347,7 +354,7 @@ def cmd_rabi(cfg: RunConfig, report: Report) -> None:
     drive = HarmonicDrive(amp, omega_prime)
     r0 = math.hypot(amp / sys_.hbar, (omega_prime - sys_.omega) / 2.0)
     t_max = cfg.t_max if cfg.t_max is not None else (2.0 * math.pi / r0 if r0 > 0 else 1.0)
-    times = np.linspace(0.0, t_max, cfg.t_steps)
+    times = _time_samples(t_max, cfg.t_steps)
     p0, p1 = rabi_off_resonance(sys_, drive, times)
     p_l, p_r = rabi_localized(sys_, drive, times)
     report.rows = [[float(t), float(a), float(b_), float(c), float(d)]

@@ -230,31 +230,37 @@ def rk4_step_for(sys: TwoLevelSystem, drive: HarmonicDrive) -> float:
 def rk4_two_level(matrix_fn: MatrixFn, c0: np.ndarray, times: np.ndarray,
                   hbar: float, max_step: float) -> np.ndarray:
     """Integrate i hbar dc/dt = M(t) c through the sample times; returns an
-    array of shape (len(times), 2)."""
+    array of shape (len(times), 2).  The state is carried as two Python
+    complex numbers and M is read once per distinct stage time."""
     times = np.asarray(times, dtype=float)
-    c = np.asarray(c0, dtype=complex).copy()
     out = np.empty((len(times), 2), dtype=complex)
-    prefactor = -1j / hbar
+    x, y = np.asarray(c0, dtype=complex).tolist()
+    p = -1j / hbar
 
-    def rhs(ti: float, ci: np.ndarray) -> np.ndarray:
-        return prefactor * (matrix_fn(ti) @ ci)
-
-    t_now = times[0]
-    out[0] = c
+    t_now = float(times[0])
+    out[0] = (x, y)
     for idx in range(1, len(times)):
-        t_next = times[idx]
+        t_next = float(times[idx])
         span = t_next - t_now
         n_sub = max(1, math.ceil(abs(span) / max_step))
         h = span / n_sub
+        half = h / 2.0
         for s in range(n_sub):
             ts = t_now + s * h
-            k1 = rhs(ts, c)
-            k2 = rhs(ts + h / 2.0, c + h / 2.0 * k1)
-            k3 = rhs(ts + h / 2.0, c + h / 2.0 * k2)
-            k4 = rhs(ts + h, c + h * k3)
-            c = c + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            (a, b), (c, d) = matrix_fn(ts).tolist()
+            k1x, k1y = p * (a * x + b * y), p * (c * x + d * y)
+            (a, b), (c, d) = matrix_fn(ts + half).tolist()
+            x2, y2 = x + half * k1x, y + half * k1y
+            k2x, k2y = p * (a * x2 + b * y2), p * (c * x2 + d * y2)
+            x3, y3 = x + half * k2x, y + half * k2y
+            k3x, k3y = p * (a * x3 + b * y3), p * (c * x3 + d * y3)
+            (a, b), (c, d) = matrix_fn(ts + h).tolist()
+            x4, y4 = x + h * k3x, y + h * k3y
+            k4x, k4y = p * (a * x4 + b * y4), p * (c * x4 + d * y4)
+            x = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         t_now = t_next
-        out[idx] = c
+        out[idx] = (x, y)
     return out
 
 

@@ -306,6 +306,19 @@ def test_unallocatable_grid_is_a_value_error(capsys, monkeypatch):
         "error: ValueError: cannot allocate a grid of n = 99999999999999 cells\n"
 
 
+@pytest.mark.parametrize("command", ["dynamics", "rabi"])
+def test_unallocatable_time_samples_are_a_value_error(command, capsys, monkeypatch):
+    # the allocation is made to fail; that many samples are never requested
+    def _raise_memory_error(*_args, **_kwargs):
+        raise MemoryError
+    monkeypatch.setattr(np, "linspace", _raise_memory_error)
+    code = main([command, "--t-steps", "99999999999999"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: cannot allocate 99999999999999 time samples\n"
+
+
 def test_table1_fit_matches_polyfit():
     rows = table1_rows()
     b = [r.b for r in rows]

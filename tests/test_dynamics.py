@@ -249,6 +249,22 @@ def test_transition_amplitude_matches_first_order_rk4(two_level):
     assert np.max(rel) <= 0.05
 
 
+def test_rk4_is_fourth_order_under_a_time_dependent_drive():
+    # no closed form: the drive's amplitude, phase and detuning all vary in
+    # time, so a stage read at the wrong time drops the order below four
+    def matrix(t: float) -> np.ndarray:
+        detuning = 0.4 * math.cos(1.3 * t)
+        coupling = (1.0 + 0.5 * math.sin(2.1 * t)) * cmath.exp(0.7j * t * t)
+        return np.array([[detuning, coupling], [coupling.conjugate(), -detuning]])
+
+    times = np.array([0.0, 1.0, 2.0, 3.0])
+    c0 = np.array([1.0 + 0.0j, 0.0j])
+    fine = rk4_two_level(matrix, c0, times, 1.0, 0.2 / 64)
+    errors = [np.max(np.abs(rk4_two_level(matrix, c0, times, 1.0, step) - fine))
+              for step in (0.2, 0.1)]
+    assert errors[0] >= 12.0 * errors[1]
+
+
 def test_two_level_validation(two_level):
     with pytest.raises(ValueError):
         TwoLevelSystem(2.0, 1.0, 1e-7, two_level.hbar)

@@ -120,3 +120,68 @@ def test_positions_symmetric(table_well):
     x = h.positions
     assert np.allclose(x, -x[::-1], atol=1e-20)
     assert x[0] == pytest.approx(-table_well.half_width + 0.5 * h.dx, rel=1e-12)
+
+
+def _with_b(spec, b):
+    return WellSpec(spec.a, b, spec.k, spec.m, spec.constants)
+
+
+def _parity_defect(v):
+    # distance from the nearer of pure even and pure odd parity
+    mirrored = v[::-1]
+    return min(np.linalg.norm(v - mirrored), np.linalg.norm(v + mirrored)) / np.linalg.norm(v)
+
+
+def _resolution(h):
+    # the grid's eigenvalue resolution, 4 eps ||H||, that eigenvector's tie rule uses
+    return 4.0 * np.finfo(float).eps * (np.max(np.abs(h.diagonal)) + 2.0 * abs(h.off_diagonal))
+
+
+@pytest.mark.parametrize("n", [20_000, 20_001, 4994, 4995])
+def test_parity_blocks_match_full_grid(table_well, n):
+    from scipy.linalg import eigh_tridiagonal
+
+    h = build_grid_hamiltonian(table_well, n)
+    scale = h.energy_scale
+    full = eigh_tridiagonal(h.diagonal / scale, np.full(n - 1, h.off_diagonal / scale),
+                            select="i", select_range=(0, 11), eigvals_only=True,
+                            tol=1e-13, lapack_driver="stebz") * scale
+    assert np.max(np.abs(lowest_eigenvalues(h, 12) / full - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [20_000, 20_001])
+def test_eigenvector_parity_is_exact_at_600nm(table_well, n):
+    # at 600 nm the grid cannot separate the lowest pair; a full-grid
+    # inverse iteration returned parity-mixed vectors there
+    h = build_grid_hamiltonian(_with_b(table_well, 600e-9), n)
+    for energy in lowest_eigenvalues(h, 4):
+        assert _parity_defect(eigenvector(h, float(energy))) <= 1e-14
+
+
+def test_unresolved_pair_gives_the_even_ground_state(table_well):
+    from dwell import build_eigenfunction, solve_below_barrier, to_dimensionless
+
+    spec = _with_b(table_well, 470e-9)
+    h = build_grid_hamiltonian(spec, 200_000)
+    v = eigenvector(h, float(lowest_eigenvalues(h, 1)[0]))
+    assert np.array_equal(v, v[::-1])
+    level0 = solve_below_barrier(to_dimensionless(spec)).levels[0]
+    psi = build_eigenfunction(spec, level0)(h.positions)
+    psi /= math.sqrt(float(psi @ psi) * h.dx)
+    assert math.sqrt(float(((v - psi) ** 2).sum()) * h.dx) <= 1e-4
+
+
+@pytest.mark.parametrize("n", [4994, 4995])
+def test_level_one_is_odd_where_the_pair_is_resolved(table_well, n):
+    seen = set()
+    for b_nm in (100, 200, 300, 400, 500, 600, 700):
+        h = build_grid_hamiltonian(_with_b(table_well, b_nm * 1e-9), n)
+        e0, e1 = lowest_eigenvalues(h, 2)
+        v = eigenvector(h, float(e1))
+        if e1 - e0 > 2.0 * _resolution(h):
+            assert np.array_equal(v, -v[::-1]), b_nm
+            seen.add("odd")
+        elif e1 - e0 < 0.5 * _resolution(h):
+            assert np.array_equal(v, v[::-1]), b_nm  # the tie rule: even wins
+            seen.add("even")
+    assert seen == {"odd", "even"}
