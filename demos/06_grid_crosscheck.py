@@ -2,8 +2,8 @@
 
 Every spectral number in this package comes from root-finding on the
 matching conditions.  A second, unrelated route -- finite differences on a
-uniform grid, diagonalized by Sturm-sequence bisection -- must agree, and
-its error must shrink like dx^2.
+uniform grid, whose lowest eigenvalues come from certified shift-invert
+Lanczos -- must agree, and its error must shrink like dx^2.
 """
 
 import math

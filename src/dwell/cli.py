@@ -20,7 +20,7 @@ Exit codes, one per channel:
 Each command imports what it computes with: the module loads only the
 pure-`math` spectrum, thermal and unit code, so `spectrum`, `table1`,
 `thermal` and `gap-sweep` never load numpy; `dynamics`, `rabi`, `density`
-and the grid oracle import numpy (and the oracle scipy) when they run.
+and the grid oracle import numpy when they run, and no command loads scipy.
 """
 
 from __future__ import annotations

@@ -16,6 +16,14 @@ Eigenvalues alternate between the blocks up the spectrum, and each
 eigenvector is solved on one block, so it has exact parity.  Where the
 grid cannot separate a pair, eigenvector returns the even member: see its
 tie rule.
+
+Eigenvalues come from shift-invert Lanczos on each block, solved with an
+odd-even cyclic-reduction factor in numpy alone, and are returned as
+Rayleigh quotients in second-difference form, each certified by a
+Kato-Temple residual bound and a Sylvester inertia count.  They are exact
+for the finite-difference operator to about 1e-16 relative, where Sturm
+bisection of the assembled matrix stops at eps ||H||, which grows as n^2.
+Only eigenvector imports scipy (solve_banded, for its indefinite shifts).
 """
 
 from __future__ import annotations
@@ -166,25 +174,188 @@ def _block_apply(h: GridHamiltonian, potential: np.ndarray, ghost: float | None,
     return hv
 
 
-def lowest_eigenvalues(h: GridHamiltonian, count: int) -> np.ndarray:
-    """The count smallest eigenvalues (J) by Sturm-sequence bisection: the
-    ceil(count/2) lowest of the even block and the floor(count/2) lowest of
-    the odd block, which alternate up the spectrum."""
-    # local import: scipy.linalg costs ~0.3 s to load, paid only by oracle paths
-    from scipy.linalg import eigh_tridiagonal
+def _cyclic_reduction(diag: np.ndarray, off: np.ndarray,
+                      keep: bool = True) -> tuple[list, int]:
+    """Odd-even cyclic reduction of T = tridiag(off, diag, off).
 
+    Each level eliminates the unknowns at even positions, which couple only
+    to those at odd positions, and leaves a tridiagonal Schur complement
+    half the size, so log2(n) vectorized levels make the LDL^T factor of
+    the matrix with its rows permuted level by level.  For a positive
+    definite matrix that is a Cholesky factor, which is backward stable.
+    Returns the levels the solve needs (inverse pivots and the multipliers
+    to the right and left neighbours; none unless keep) and the number of
+    negative pivots, which by Sylvester's law of inertia is the number of
+    negative eigenvalues: pass diag - shift to count those below shift."""
+    d, e = diag, off
+    levels, negative = [], 0
+    while len(d):
+        inv = 1.0 / d[0::2]
+        if not np.all(np.isfinite(inv)):
+            raise ConvergenceFailure("cyclic reduction met a zero pivot")
+        negative += int(np.count_nonzero(inv < 0.0))
+        right, left = e[0::2], e[1::2]  # eliminated i to kept i, kept i to eliminated i + 1
+        a = right * inv[:len(right)]
+        c = left * inv[1:len(left) + 1]
+        kept = d[1::2] - right * a
+        kept[:len(c)] -= left * c
+        inner = max(len(kept) - 1, 0)
+        d, e = kept, -c[:inner] * e[2::2][:inner]
+        if keep:
+            levels.append((inv, a, c))
+    return levels, negative
+
+
+def _cr_solve(levels: list, f: np.ndarray) -> np.ndarray:
+    """x with T x = f (float64), from the levels of _cyclic_reduction.  The
+    unknowns of level l sit at stride 2**l in one array, so both sweeps run
+    in place on a single copy of f."""
+    x = np.array(f, dtype=np.float64)
+    views = [x[(1 << level) - 1::1 << level] for level in range(len(levels))]
+    for (_, a, c), g in zip(levels, views):
+        g[1::2] -= a * g[0:2 * len(a):2]
+        g[1:2 * len(c) + 1:2] -= c * g[2:2 * len(c) + 2:2]
+    for (inv, a, c), g in zip(reversed(levels), reversed(views)):
+        g[0::2] *= inv
+        g[0:2 * len(a):2] -= a * g[1::2]
+        g[2:2 * len(c) + 2:2] -= c * g[1:2 * len(c) + 1:2]
+    return x
+
+
+_CERTIFY_TOL = 1e-13  # bound on ||r||^2 / gap, in units of the energy scale
+
+
+def _scaled_block(h: GridHamiltonian, even: bool
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
+    """_parity_block with diagonal and off-diagonals in units of energy_scale."""
+    diag, off, potential, ghost = _parity_block(h, even)
+    diag /= h.energy_scale
+    off /= h.energy_scale
+    return diag, off, potential, ghost
+
+
+def _block_lowest(h: GridHamiltonian, even: bool, k: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The k lowest eigenvalues (J) of one parity block, certified.
+
+    Shift-invert Lanczos at 0 with full reorthogonalization runs on the
+    block scaled by energy_scale, solving with its cyclic-reduction factor.
+    It stops once the Lanczos estimate of ||r||^2 / gap falls below a
+    thousandth of _CERTIFY_TOL for each of the k lowest Ritz pairs (their
+    vectors then carry errors near 1e-8, of which the Rayleigh quotient
+    sees the square).  Each purified Ritz vector x = T^-1 (Q s) / theta
+    gives rho = x.Hx / x.x and r = Hx - rho x, both in second-difference
+    form (_block_apply), so neither carries the eps ||H|| roundoff of the
+    kinetic diagonal.  rho_i is accepted when ||r_i||^2 / gap_i <=
+    _CERTIFY_TOL * energy_scale, gap_i being the distance to the
+    neighbouring rho or to Ritz value k + 1 (Kato-Temple), and when the
+    inertia at the midpoint between rho_{k-1} and Ritz value k + 1 is k, so
+    no eigenvalue below was missed; a wrong count keeps the iteration going.
+
+    Once ||H|| nears 1e9 energy_scale (n about 2.5e5) the float64 residual
+    floor, about eps ||H||, can exceed the bound; a failing vector then gets
+    one mixed-precision correction, x <- T^-1 x solved in float64 and
+    refined once against a long-double residual, and is rescored in long
+    double.  A vector that still fails raises ConvergenceFailure."""
+    scale = h.energy_scale
+    diag, off, potential, ghost = _scaled_block(h, even)
+    factor, _ = _cyclic_reduction(diag, off)
+    size = len(diag)
+    del diag, off
+    rows = min(size, 4 * k + 6)  # covers the steps seen for k <= 8; doubles if short
+    limit = min(size - 1, 4 * rows)
+    basis = np.empty((rows, size))
+    basis[0] = _cr_solve(factor, rng.standard_normal(size))
+    basis[0] /= np.linalg.norm(basis[0])
+    alpha, beta = [], []
+    for j in range(limit):
+        w = _cr_solve(factor, basis[j])
+        alpha.append(float(w @ basis[j]))
+        for _ in range(2):  # classical Gram-Schmidt, twice is enough
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+        beta.append(float(np.linalg.norm(w)))
+        if not (math.isfinite(beta[-1]) and beta[-1] > 0.0):
+            break
+        if j + 1 == rows:
+            rows = min(2 * rows, size)
+            grown = np.empty((rows, size))
+            grown[:j + 1] = basis[:j + 1]
+            basis = grown
+        np.divide(w, beta[-1], out=basis[j + 1])
+        del w
+        if j < k:
+            continue
+        tri = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+        theta, s = np.linalg.eigh(tri)
+        theta, s = theta[:-k - 2:-1], s[:, :-k - 2:-1]  # largest first
+        ritz = 1.0 / theta  # the k + 1 lowest Ritz values of the block
+        weight = beta[-1] * s[-1, :k] / theta[:k]
+        gap = np.minimum(np.diff(ritz), np.append(np.inf, np.diff(ritz)[:-1]))
+        if np.any((weight * ritz[:k]) ** 2 > 1e-3 * _CERTIFY_TOL * gap):
+            continue
+
+        def ritz_vector(i):  # purified: T^-1 (Q s) = theta Q s + beta s_j q_j+1
+            return s[:, i] @ basis[:j + 1] + weight[i] * basis[j + 1]
+
+        rho, norm2 = np.empty(k), np.empty(k)
+        for i in range(k):
+            rho[i], norm2[i] = _rayleigh(h, potential, ghost, ritz_vector(i))
+        upper = ritz[k] * scale
+        diag, off, _, _ = _scaled_block(h, even)
+        diag -= 0.5 * (rho[-1] / scale + ritz[k])
+        if _cyclic_reduction(diag, off, keep=False)[1] != k:
+            continue
+        del diag, off
+        failing = [(i, ritz_vector(i)) for i in range(k)
+                   if norm2[i] > _CERTIFY_TOL * scale * _gap(rho, upper, i)]
+        del basis, ritz_vector
+        for i, x in failing:  # at the float64 floor: one mixed-precision correction
+            y = _cr_solve(factor, x).astype(np.longdouble)
+            y += _cr_solve(factor, x - _block_apply(h, potential, ghost, y) / scale)
+            rho[i], norm2[i] = _rayleigh(h, potential, ghost, y)
+        for i in range(k):
+            bound = norm2[i] / _gap(rho, upper, i) / scale
+            if bound > _CERTIFY_TOL:
+                raise ConvergenceFailure(
+                    f"grid eigenvalue {i} of the {'even' if even else 'odd'} block not "
+                    f"certified: ||r||^2/gap = {bound:.2e} B above {_CERTIFY_TOL:.0e} B")
+        return rho
+    raise ConvergenceFailure(
+        f"shift-invert Lanczos on the {'even' if even else 'odd'} block did not certify "
+        f"{k} eigenvalues in {len(alpha)} steps")
+
+
+def _rayleigh(h: GridHamiltonian, potential: np.ndarray, ghost: float | None,
+              x: np.ndarray) -> tuple[float, float]:
+    """(x.Hx / x.x, ||Hx - rho x||^2 / x.x) in second-difference form, in
+    the precision of x."""
+    hx = _block_apply(h, potential, ghost, x)
+    xx = x @ x
+    rho = (x @ hx) / xx
+    hx -= rho * x
+    return float(rho), float((hx @ hx) / xx)
+
+
+def _gap(rho: np.ndarray, upper: float, i: int) -> float:
+    above = rho[i + 1] if i + 1 < len(rho) else upper
+    return min(above - rho[i], rho[i] - rho[i - 1] if i else math.inf)
+
+
+def lowest_eigenvalues(h: GridHamiltonian, count: int) -> np.ndarray:
+    """The count smallest eigenvalues (J): the ceil(count/2) lowest of the
+    even block and the floor(count/2) lowest of the odd block, which
+    alternate up the spectrum, each by certified shift-invert Lanczos
+    (_block_lowest).  Every value is a Rayleigh quotient within
+    _CERTIFY_TOL * energy_scale of the exact finite-difference eigenvalue
+    by the Kato-Temple bound; where that cannot be certified it raises
+    ConvergenceFailure.  The start vectors come from a generator seeded
+    with n, so repeated calls are bit-identical."""
     if count < 1 or count > h.n // 10:
         raise ValueError(f"count must be in [1, n/10], got {count}")
-    scale = h.energy_scale
-    parts = []
-    for even, k in ((True, (count + 1) // 2), (False, count // 2)):
-        if k == 0:
-            continue
-        diag, off, _, _ = _parity_block(h, even)
-        parts.append(eigh_tridiagonal(diag / scale, off / scale, select="i",
-                                      select_range=(0, k - 1), eigvals_only=True,
-                                      tol=1e-13, lapack_driver="stebz"))
-    return np.sort(np.concatenate(parts)) * scale
+    rng = np.random.default_rng(h.n)
+    parts = [_block_lowest(h, even, k, rng)
+             for even, k in ((True, (count + 1) // 2), (False, count // 2)) if k]
+    return np.sort(np.concatenate(parts))
 
 
 def eigenvector(h: GridHamiltonian, eigenvalue: float, *, max_iter: int = 30) -> np.ndarray:
@@ -202,7 +373,7 @@ def eigenvector(h: GridHamiltonian, eigenvalue: float, *, max_iter: int = 30) ->
     the solver's injected roundoff, which at n = 2e4 sits above 1e-8 |E|;
     a couple of extended-precision residual refinements of the winning
     block push it well below."""
-    # local import: scipy.linalg costs ~0.3 s to load, paid only by oracle paths
+    # local import: scipy.linalg takes 0.23-0.30 s to load, and no CLI command calls this
     from scipy.linalg import solve_banded
 
     scale = h.energy_scale

@@ -156,11 +156,12 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only inside the grid-oracle functions that call it,
-    # so neither the import nor `dynamics` and `rabi` (which build the dipole
-    # element and its Gauss-Legendre check) load any of it.  numpy is
-    # imported only by the commands that compute with it, so neither the
-    # import nor the pure-math commands, in either format, load any of it
+    # scipy is imported only inside grid_oracle.eigenvector, which no command
+    # calls, so neither the import nor `dynamics` and `rabi` (which build the
+    # dipole element and its Gauss-Legendre check) nor the two grid-oracle
+    # commands, in either format, load any of it.  numpy is imported only by
+    # the commands that compute with it, so neither the import nor the
+    # pure-math commands, in either format, load any of it
     src = Path(__file__).resolve().parents[1] / "src"
     loaded = "sorted(m for m in sys.modules if m.partition('.')[0] == {!r})".format
     code = f"import sys, dwell, dwell.cli; print({loaded('scipy')}, {loaded('numpy')})"
@@ -172,10 +173,14 @@ def test_import_loads_no_scipy():
             "for cmd in ('spectrum', 'table1', 'thermal', 'gap-sweep') for fmt in ('csv', 'json')]; "
             f"print(light, {loaded('numpy')}); "
             "codes = [main([cmd, '--out', sys.argv[1]]) for cmd in ('dynamics', 'rabi')]; "
-            f"print(codes, {loaded('scipy')})")
+            f"print(codes, {loaded('scipy')}); "
+            "grid = [main([*cmd, '--format', fmt, '--out', sys.argv[1]]) "
+            "for cmd in (['spectrum', '--oracle'], ['oracle-check']) "
+            "for fmt in ('csv', 'json')]; "
+            f"print(grid, {loaded('scipy')})")
     result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout == "[0, 0, 0, 0, 0, 0, 0, 0] []\n[0, 0] []\n"
+    assert result.stdout == "[0, 0, 0, 0, 0, 0, 0, 0] []\n[0, 0] []\n[0, 0, 0, 0] []\n"
 
 
 def test_dynamics_probabilities_and_periodicity(capsys):

@@ -10,6 +10,7 @@ from dwell import (
     eigenvector,
     lowest_eigenvalues,
 )
+from dwell.errors import ConvergenceFailure
 
 # frozen from an independent 50-digit evaluation (kappa = 33.1968533517)
 EPS0_TABLE = 0.892275120405
@@ -43,16 +44,19 @@ def test_below_barrier_count_matches(table_well, table_spectrum):
 
 def test_second_order_convergence(table_well):
     # grid sizes aligned so both potential steps sit on cell edges; the
-    # interface error constant is then reproducible between n and 2n
-    n1 = aligned_size(table_well, 5000)
-    n2 = 2 * n1
+    # interface error constant is then reproducible between n and 2n.
+    # Sturm bisection carried an eps ||H|| error that grows as n^2 and
+    # overtook the dx^2 error past n = 8e4; certified Rayleigh quotients
+    # keep the order at 2 out to 3.2e5 cells
+    n = aligned_size(table_well, 5000)
     e_ref = EPS0_TABLE * table_well.barrier_bound
     errs = []
-    for n in (n1, n2):
+    while n < 330_000:
         h = build_grid_hamiltonian(table_well, n)
         errs.append(abs(float(lowest_eigenvalues(h, 1)[0]) / e_ref - 1.0))
-    order = math.log2(errs[0] / errs[1])
-    assert order >= 1.9
+        n *= 2
+    orders = [math.log2(e1 / e2) for e1, e2 in zip(errs, errs[1:])]
+    assert len(orders) == 6 and min(orders) >= 1.9, orders
 
 
 def test_aligned_size_divides_cleanly(table_well):
@@ -137,16 +141,101 @@ def _resolution(h):
     return 4.0 * np.finfo(float).eps * (np.max(np.abs(h.diagonal)) + 2.0 * abs(h.off_diagonal))
 
 
+def _full_grid_levels(h, count):
+    # full-grid reference: stebz to locate each level, float64 inverse
+    # iteration on the whole grid for its vector, then the Rayleigh quotient
+    # in long double and second-difference form, free of the eps ||H|| error
+    # that both stebz and a float64 quotient carry
+    from scipy.linalg import eigh_tridiagonal, solve_banded
+
+    scale = h.energy_scale
+    located = eigh_tridiagonal(h.diagonal / scale, np.full(h.n - 1, h.off_diagonal / scale),
+                               select="i", select_range=(0, count - 1), eigvals_only=True,
+                               tol=1e-13, lapack_driver="stebz")
+    ab = np.zeros((3, h.n))
+    ab[0, 1:] = ab[2, :-1] = h.off_diagonal / scale
+    rng = np.random.default_rng(0)
+    levels = []
+    for shift in located:
+        ab[1] = h.diagonal / scale - shift
+        v = rng.standard_normal(h.n)
+        for _ in range(3):
+            v = solve_banded((1, 1), ab, v)
+            v /= np.linalg.norm(v)
+        v = v.astype(np.longdouble)
+        levels.append(float((v @ h.apply(v)) / (v @ v)))
+    return np.array(levels)
+
+
 @pytest.mark.parametrize("n", [20_000, 20_001, 4994, 4995])
 def test_parity_blocks_match_full_grid(table_well, n):
+    h = build_grid_hamiltonian(table_well, n)
+    full = _full_grid_levels(h, 12)
+    assert np.max(np.abs(lowest_eigenvalues(h, 12) / full - 1.0)) <= 1e-12
+
+
+def test_grid_splitting_at_300nm(table_well):
+    # the grid splitting is a difference of two eigenvalues 1e-4 apart, so
+    # an eps ||H|| error in each (4e-3 of the splitting at n = 1.6e5) ruins it
+    from dwell import lowest_pair, to_dimensionless
+
+    spec = _with_b(table_well, 300e-9)
+    pair = lowest_pair(to_dimensionless(spec)).levels
+    e0, e1 = lowest_eigenvalues(build_grid_hamiltonian(spec, 160_000), 2)
+    assert abs((e1 - e0) / (pair[1].energy - pair[0].energy) - 1.0) <= 1e-6
+
+
+def test_many_levels_match_stebz_within_its_error(table_well):
+    # 150 levels need about 75 Lanczos steps per block; stebz on the same
+    # blocks is accurate to its tolerance plus about eps ||H||
     from scipy.linalg import eigh_tridiagonal
 
-    h = build_grid_hamiltonian(table_well, n)
+    from dwell.grid_oracle import _parity_block
+
+    h = build_grid_hamiltonian(table_well, 20_000)
     scale = h.energy_scale
-    full = eigh_tridiagonal(h.diagonal / scale, np.full(n - 1, h.off_diagonal / scale),
-                            select="i", select_range=(0, 11), eigvals_only=True,
-                            tol=1e-13, lapack_driver="stebz") * scale
-    assert np.max(np.abs(lowest_eigenvalues(h, 12) / full - 1.0)) <= 1e-12
+    parts = []
+    for even, k in ((True, 75), (False, 75)):
+        diag, off, _, _ = _parity_block(h, even)
+        parts.append(eigh_tridiagonal(diag / scale, off / scale, select="i",
+                                      select_range=(0, k - 1), eigvals_only=True,
+                                      tol=1e-13, lapack_driver="stebz"))
+    stebz = np.sort(np.concatenate(parts)) * scale
+    levels = lowest_eigenvalues(h, 150)
+    assert np.all(np.diff(levels) > 0)
+    assert np.max(np.abs(levels - stebz)) <= _resolution(h) + 1e-13 * scale
+
+
+def test_lowest_eigenvalues_deterministic(table_well):
+    h = build_grid_hamiltonian(table_well, 20_001)
+    assert lowest_eigenvalues(h, 12).tobytes() == lowest_eigenvalues(h, 12).tobytes()
+
+
+def _fail_certificate(monkeypatch):
+    # every residual comes back too large, before and after the correction
+    from dwell import grid_oracle
+
+    rayleigh = grid_oracle._rayleigh
+    monkeypatch.setattr(grid_oracle, "_rayleigh",
+                        lambda *args: (rayleigh(*args)[0], 1.0))
+
+
+def test_uncertified_eigenvalue_raises(table_well, monkeypatch):
+    _fail_certificate(monkeypatch)
+    with pytest.raises(ConvergenceFailure, match="not certified"):
+        lowest_eigenvalues(build_grid_hamiltonian(table_well, 4994), 6)
+
+
+@pytest.mark.parametrize("argv", [["oracle-check"], ["spectrum", "--oracle"]])
+def test_uncertified_eigenvalue_is_one_cli_error_line(argv, monkeypatch, capsys):
+    from dwell.cli import main
+
+    _fail_certificate(monkeypatch)
+    code = main(argv + ["--grid-n", "4994"])
+    out = capsys.readouterr().out
+    assert code == 1
+    errors = [line for line in out.splitlines() if "error" in line]
+    assert errors == [errors[0]] and errors[0].startswith("# error: grid eigenvalue 0 ")
 
 
 @pytest.mark.parametrize("n", [20_000, 20_001])

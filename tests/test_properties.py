@@ -1,9 +1,12 @@
-"""Property test over the whole (kappa, lambda) domain: every well either
+"""Property tests.  Over the whole (kappa, lambda) domain every well either
 solves to a spectrum that meets every guaranteed bound, or raises a
-DwellError; no other exception escapes."""
+DwellError; no other exception escapes.  The grid oracle's cyclic-reduction
+inertia counts the eigenvalues below any shift as stebz does."""
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -37,3 +40,32 @@ def test_every_well_solves_within_bounds_or_raises_a_dwell_error(kappa, lam):
         return
     assert isinstance(result, SpectrumResult)
     assert verify_bounds(result).all_hold
+
+
+@functools.cache
+def _grid_block(n: int, even: bool):
+    # one scaled parity block of the table-1 grid, with all its eigenvalues by stebz
+    from scipy.linalg import eigh_tridiagonal
+
+    from dwell import build_grid_hamiltonian
+    from dwell.cli import TABLE1_WELL
+    from dwell.grid_oracle import _scaled_block
+
+    diag, off, _, _ = _scaled_block(build_grid_hamiltonian(TABLE1_WELL, n), even)
+    return diag, off, eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stebz")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(n=st.sampled_from([400, 401, 2000, 2001]), even=st.booleans(),
+       p=st.floats(-1.0, 6.0))
+@example(n=401, even=True, p=-1.0)  # below the spectrum: no negative pivot
+@example(n=2001, even=False, p=6.0)  # above it: every pivot negative
+def test_cyclic_reduction_inertia_matches_stebz(n, even, p):
+    from dwell.grid_oracle import _cyclic_reduction
+
+    diag, off, eigenvalues = _grid_block(n, even)
+    shift = 10.0 ** p - 0.5
+    # a shift within roundoff of an eigenvalue has no well-defined count
+    assume(np.min(np.abs(eigenvalues - shift)) > 1e-9 * eigenvalues[-1])
+    below = int(np.searchsorted(eigenvalues, shift))
+    assert _cyclic_reduction(diag - shift, off, keep=False)[1] == below

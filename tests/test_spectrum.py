@@ -397,3 +397,35 @@ def test_inverted_resolvable_pair_raises_convergence_failure():
     with pytest.raises(ConvergenceFailure) as info:
         solve_below_barrier(well)
     assert info.value.pair_index == 438
+
+
+def _mp_odd_root_pair0(kappa: str, lam: str) -> float:
+    # eps of the odd level of pair 0 by bisection of -s cot(pi s) = u coth(pi lam u)
+    # on s in (1/2, 1), at 60 digits
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 60
+    k, lm = mp.mpf(kappa), mp.mpf(lam)
+
+    def f(s):
+        u = mp.sqrt(k - s * s)
+        return -s * mp.cot(mp.pi * s) - u * mp.coth(mp.pi * lm * u)
+
+    lo, hi = mp.mpf(0.5), 1 - mp.mpf(10) ** -50
+    assert f(lo) < 0 < f(hi)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+    return float(lo * lo)
+
+
+@pytest.mark.xfail(strict=True, reason="Newton stalls at the centre of the bisection "
+                   "bracket (ROADMAP item 8)")
+def test_small_lambda_odd_level_matches_mpmath():
+    # bisection leaves the odd root's bracket centred at 0.9999996423713815,
+    # where F = -1.65e11 and dF = 4.98e12; Newton's step of +0.033 leaves the
+    # bracket, the fallback midpoint is the centre itself, and the level is
+    # returned there, 3.6e-7 off the root 0.99999999999614
+    reference = _mp_odd_root_pair0("3100", "1.93e-12")
+    level = solve_below_barrier(ScaledWell(3100.0, 1.93e-12)).levels[1]
+    assert level.parity == "odd"
+    assert level.eps == pytest.approx(reference, rel=1e-12)
