@@ -20,7 +20,8 @@ Exit codes, one per channel:
 Each command imports what it computes with: the module loads only the
 pure-`math` spectrum, thermal and unit code, so `spectrum`, `table1`,
 `thermal` and `gap-sweep` never load numpy; `dynamics`, `rabi`, `density`
-and the grid oracle import numpy when they run, and no command loads scipy.
+and the grid oracle import numpy when they run, the only third-party
+package any command loads.
 """
 
 from __future__ import annotations

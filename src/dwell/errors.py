@@ -63,9 +63,5 @@ class ConvergenceFailure(DwellError):
     """Iterative eigensolve failed to converge."""
 
 
-class SingularShift(DwellError):
-    """Inverse iteration stagnated at the given shift."""
-
-
 class ConfigError(DwellError):
     """Bad run configuration; message carries the offending location."""

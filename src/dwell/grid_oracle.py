@@ -13,17 +13,17 @@ The grid is mirror symmetric, so H splits exactly into an even and an odd
 block, each built from the left half-grid alone (which makes the mirror
 symmetry exact to the last bit) and differing only in the centre ghost.
 Eigenvalues alternate between the blocks up the spectrum, and each
-eigenvector is solved on one block, so it has exact parity.  Where the
-grid cannot separate a pair, eigenvector returns the even member: see its
-tie rule.
+eigenvector is a Ritz vector of one block, so it has exact parity.  Where
+two block eigenvalues lie within their certificate of each other,
+eigenvector returns the even member: see its tie rule.
 
-Eigenvalues come from shift-invert Lanczos on each block, solved with an
-odd-even cyclic-reduction factor in numpy alone, and are returned as
-Rayleigh quotients in second-difference form, each certified by a
-Kato-Temple residual bound and a Sylvester inertia count.  They are exact
-for the finite-difference operator to about 1e-16 relative, where Sturm
-bisection of the assembled matrix stops at eps ||H||, which grows as n^2.
-Only eigenvector imports scipy (solve_banded, for its indefinite shifts).
+Eigenvalues and eigenvectors come from one path, in numpy alone:
+shift-invert Lanczos on each block, solved with an odd-even
+cyclic-reduction factor.  The eigenvalues are Rayleigh quotients of the
+Ritz vectors in second-difference form, each certified by a Kato-Temple
+residual bound and a Sylvester inertia count.  They are exact for the
+finite-difference operator to about 1e-16 relative, where Sturm bisection
+of the assembled matrix stops at eps ||H||, which grows as n^2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceFailure, SingularShift
+from .errors import ConvergenceFailure
 from .units import WellSpec
 
 __all__ = [
@@ -234,9 +234,18 @@ def _scaled_block(h: GridHamiltonian, even: bool
     return diag, off, potential, ghost
 
 
+def _count_below(h: GridHamiltonian, even: bool, shift: float) -> int:
+    """The number of eigenvalues of one parity block below shift (in units
+    of energy_scale), by the inertia of its cyclic-reduction factor."""
+    diag, off, _, _ = _scaled_block(h, even)
+    diag -= shift
+    return _cyclic_reduction(diag, off, keep=False)[1]
+
+
 def _block_lowest(h: GridHamiltonian, even: bool, k: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """The k lowest eigenvalues (J) of one parity block, certified.
+                  rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The k lowest eigenvalues (J) of one parity block, certified, with
+    their Ritz vectors on the block.
 
     Shift-invert Lanczos at 0 with full reorthogonalization runs on the
     block scaled by energy_scale, solving with its cyclic-reduction factor.
@@ -256,7 +265,9 @@ def _block_lowest(h: GridHamiltonian, even: bool, k: int,
     floor, about eps ||H||, can exceed the bound; a failing vector then gets
     one mixed-precision correction, x <- T^-1 x solved in float64 and
     refined once against a long-double residual, and is rescored in long
-    double.  A vector that still fails raises ConvergenceFailure."""
+    double.  A vector that still fails raises ConvergenceFailure.  The
+    vectors returned are the ones scored: float64 purified Ritz vectors, or
+    long double where the correction ran."""
     scale = h.energy_scale
     diag, off, potential, ghost = _scaled_block(h, even)
     factor, _ = _cyclic_reduction(diag, off)
@@ -297,21 +308,21 @@ def _block_lowest(h: GridHamiltonian, even: bool, k: int,
         def ritz_vector(i):  # purified: T^-1 (Q s) = theta Q s + beta s_j q_j+1
             return s[:, i] @ basis[:j + 1] + weight[i] * basis[j + 1]
 
+        vectors = [ritz_vector(i) for i in range(k)]
         rho, norm2 = np.empty(k), np.empty(k)
-        for i in range(k):
-            rho[i], norm2[i] = _rayleigh(h, potential, ghost, ritz_vector(i))
+        for i, x in enumerate(vectors):
+            rho[i], norm2[i] = _rayleigh(h, potential, ghost, x)
         upper = ritz[k] * scale
-        diag, off, _, _ = _scaled_block(h, even)
-        diag -= 0.5 * (rho[-1] / scale + ritz[k])
-        if _cyclic_reduction(diag, off, keep=False)[1] != k:
+        if _count_below(h, even, 0.5 * (rho[-1] / scale + ritz[k])) != k:
             continue
-        del diag, off
-        failing = [(i, ritz_vector(i)) for i in range(k)
-                   if norm2[i] > _CERTIFY_TOL * scale * _gap(rho, upper, i)]
         del basis, ritz_vector
-        for i, x in failing:  # at the float64 floor: one mixed-precision correction
+        failing = [i for i in range(k)
+                   if norm2[i] > _CERTIFY_TOL * scale * _gap(rho, upper, i)]
+        for i in failing:  # at the float64 floor: one mixed-precision correction
+            x = vectors[i]
             y = _cr_solve(factor, x).astype(np.longdouble)
             y += _cr_solve(factor, x - _block_apply(h, potential, ghost, y) / scale)
+            vectors[i] = y
             rho[i], norm2[i] = _rayleigh(h, potential, ghost, y)
         for i in range(k):
             bound = norm2[i] / _gap(rho, upper, i) / scale
@@ -319,7 +330,7 @@ def _block_lowest(h: GridHamiltonian, even: bool, k: int,
                 raise ConvergenceFailure(
                     f"grid eigenvalue {i} of the {'even' if even else 'odd'} block not "
                     f"certified: ||r||^2/gap = {bound:.2e} B above {_CERTIFY_TOL:.0e} B")
-        return rho
+        return rho, vectors
     raise ConvergenceFailure(
         f"shift-invert Lanczos on the {'even' if even else 'odd'} block did not certify "
         f"{k} eigenvalues in {len(alpha)} steps")
@@ -353,98 +364,54 @@ def lowest_eigenvalues(h: GridHamiltonian, count: int) -> np.ndarray:
     if count < 1 or count > h.n // 10:
         raise ValueError(f"count must be in [1, n/10], got {count}")
     rng = np.random.default_rng(h.n)
-    parts = [_block_lowest(h, even, k, rng)
+    parts = [_block_lowest(h, even, k, rng)[0]
              for even, k in ((True, (count + 1) // 2), (False, count // 2)) if k]
     return np.sort(np.concatenate(parts))
 
 
-def eigenvector(h: GridHamiltonian, eigenvalue: float, *, max_iter: int = 30) -> np.ndarray:
-    """Inverse-iteration eigenvector for a converged eigenvalue, normalized
-    so that sum(v^2) dx = 1 and sign-aligned to v > 0 just right of x = 0.
+def eigenvector(h: GridHamiltonian, eigenvalue: float) -> np.ndarray:
+    """The grid eigenvector whose eigenvalue is nearest eigenvalue (J),
+    normalized so that sum(v^2) dx = 1 and sign-aligned to v > 0 just right
+    of x = 0.
 
-    Float64 inverse iteration runs on both parity blocks of the left
-    half-grid (see _parity_block), so the vector has exact parity.  The
-    block whose Rayleigh quotient is nearer the eigenvalue wins, and ties
-    go to the even block: the odd block wins only when nearer by more than
-    the grid's eigenvalue resolution 4 eps ||H||.  Where the grid cannot
-    separate a pair, its even member is the lower one.
-
-    Plain float64 inverse iteration stalls at a residual ~ eps ||H|| from
-    the solver's injected roundoff, which at n = 2e4 sits above 1e-8 |E|;
-    a couple of extended-precision residual refinements of the winning
-    block push it well below."""
-    # local import: scipy.linalg takes 0.23-0.30 s to load, and no CLI command calls this
-    from scipy.linalg import solve_banded
-
+    Each parity block counts its eigenvalues below eigenvalue + w by
+    inertia, w = 4 eps ||H|| being the backward error of that count, and
+    runs the certified Lanczos of lowest_eigenvalues (_block_lowest, same
+    seed) for that many.  The block whose highest certified value is nearer
+    eigenvalue gives the Ritz vector, mirrored onto the full grid, so the
+    vector has exact parity.  The tie rule: the odd block wins only when
+    nearer by more than the Kato-Temple certificate _CERTIFY_TOL *
+    energy_scale, so where the grid cannot separate a pair the even member
+    is returned.  Raises ValueError when no grid eigenvalue lies within
+    1e-9 |eigenvalue|, or when more than n/10 lie below it."""
+    if not math.isfinite(eigenvalue):
+        raise ValueError(f"eigenvalue must be finite, got {eigenvalue}")
     scale = h.energy_scale
-    blocks = {even: _parity_block(h, even) for even in (True, False)}
-    resolution = 4.0 * np.finfo(float).eps * (
-        float(np.max(np.abs(h.diagonal))) + 2.0 * abs(h.off_diagonal))
-
+    window = 4.0 * np.finfo(float).eps * (
+        float(np.max(np.abs(h.diagonal))) + 2.0 * abs(h.off_diagonal)) / scale
+    counts = {even: _count_below(h, even, eigenvalue / scale + window) for even in (True, False)}
+    if sum(counts.values()) > h.n // 10:
+        raise ValueError(f"{eigenvalue:.6e} J lies above n/10 grid eigenvalues")
     rng = np.random.default_rng(h.n)
-    accept_tol = 1e-9 * abs(eigenvalue)
-
-    last_exc: Exception | None = None
-    for attempt in range(4):
-        shift = (eigenvalue / scale) * (1.0 + attempt * 3e-13)
-        try:
-            found = {}
-            for even, (diag, off, potential, ghost) in blocks.items():
-                ab = np.zeros((3, len(diag)))
-                ab[0, 1:] = off / scale
-                ab[1] = diag / scale - shift
-                ab[2, :-1] = off / scale
-                v = rng.standard_normal(len(diag))
-                v /= np.linalg.norm(v)
-                prev = rq = math.inf
-                for _ in range(max_iter):
-                    w = solve_banded((1, 1), ab, v)
-                    nw = np.linalg.norm(w)
-                    if not np.isfinite(nw) or nw == 0.0:
-                        raise SingularShift(f"inverse iteration blew up at shift {shift}")
-                    v = w / nw
-                    hv = _block_apply(h, potential, ghost, v)
-                    rq = float(v @ hv)
-                    residual = float(np.linalg.norm(hv - rq * v))
-                    if residual > 0.5 * prev:
-                        break  # at the float64 floor
-                    prev = residual
-                found[even] = (abs(rq - eigenvalue), v, ab)
-            even = not found[False][0] < found[True][0] - resolution
-            _, v, ab = found[even]
-            _, _, potential, ghost = blocks[even]
-            # mixed-precision polish: extended residual, float64 correction
-            v_ld = v.astype(np.longdouble)
-            best_v, best_residual = None, math.inf
-            for _ in range(3):
-                hv = _block_apply(h, potential, ghost, v_ld)
-                rq = np.longdouble(v_ld @ hv) / np.longdouble(v_ld @ v_ld)
-                r = hv - rq * v_ld
-                residual = float(np.sqrt(np.longdouble(r @ r)))
-                if residual < best_residual:
-                    best_v, best_residual = v_ld, residual
-                if residual <= 0.01 * accept_tol:
-                    break
-                c = solve_banded((1, 1), ab, (r / scale).astype(np.float64))
-                v_new = v_ld - c.astype(np.longdouble)
-                v_ld = v_new / np.sqrt(np.longdouble(v_new @ v_new))
-            if best_v is None or best_residual > accept_tol:
-                raise SingularShift(
-                    f"residual {best_residual:.3e} J above {accept_tol:.3e} J at shift {shift}")
-        except SingularShift as exc:
-            last_exc = exc
-            continue
-        left = best_v.astype(np.float64)  # mirrored onto the full grid:
-        if ghost is None:
-            left[-1] *= math.sqrt(2.0)
-            v = np.concatenate([left, left[-2::-1]])
-        elif ghost == 0.0:
-            v = np.concatenate([left, [0.0], -left[::-1]])
-        else:
-            v = np.concatenate([left, ghost * left[::-1]])
-        mid = h.n // 2
-        pivot = v[mid] if v[mid] != 0.0 else v[mid + 1]
-        if pivot < 0:
-            v = -v
-        return v / math.sqrt(float(v @ v) * h.dx)
-    raise ConvergenceFailure(f"inverse iteration failed after retries: {last_exc}")
+    distance, vector = {}, {}
+    for even, k in counts.items():
+        if k:
+            rho, vectors = _block_lowest(h, even, k, rng)
+            distance[even], vector[even] = abs(rho[-1] - eigenvalue), vectors[-1]
+    even = distance.get(True, math.inf) <= distance.get(False, math.inf) + _CERTIFY_TOL * scale
+    if distance.get(even, math.inf) > 1e-9 * abs(eigenvalue):
+        raise ValueError(f"no grid eigenvalue within 1e-9 relative of {eigenvalue:.6e} J")
+    left = vector[even].astype(np.float64)  # mirrored onto the full grid:
+    ghost = _parity_block(h, even)[3]
+    if ghost is None:
+        left[-1] *= math.sqrt(2.0)
+        v = np.concatenate([left, left[-2::-1]])
+    elif ghost == 0.0:
+        v = np.concatenate([left, [0.0], -left[::-1]])
+    else:
+        v = np.concatenate([left, ghost * left[::-1]])
+    mid = h.n // 2
+    pivot = v[mid] if v[mid] != 0.0 else v[mid + 1]
+    if pivot < 0:
+        v = -v
+    return v / math.sqrt(float(v @ v) * h.dx)

@@ -156,10 +156,10 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported only inside grid_oracle.eigenvector, which no command
-    # calls, so neither the import nor `dynamics` and `rabi` (which build the
-    # dipole element and its Gauss-Legendre check) nor the two grid-oracle
-    # commands, in either format, load any of it.  numpy is imported only by
+    # no runtime path imports scipy: neither the import nor `dynamics` and
+    # `rabi` (which build the dipole element and its Gauss-Legendre check)
+    # nor the two grid-oracle commands, in either format, nor
+    # grid_oracle.eigenvector load any of it.  numpy is imported only by
     # the commands that compute with it, so neither the import nor the
     # pure-math commands, in either format, load any of it
     src = Path(__file__).resolve().parents[1] / "src"
@@ -177,10 +177,16 @@ def test_import_loads_no_scipy():
             "grid = [main([*cmd, '--format', fmt, '--out', sys.argv[1]]) "
             "for cmd in (['spectrum', '--oracle'], ['oracle-check']) "
             "for fmt in ('csv', 'json')]; "
-            f"print(grid, {loaded('scipy')})")
+            f"print(grid, {loaded('scipy')}); "
+            "from dwell import PAPER_CONSTANTS, WellSpec, build_grid_hamiltonian, eigenvector, "
+            "lowest_eigenvalues; "
+            "h = build_grid_hamiltonian(WellSpec(1e-6, 1e-7, 2e-24, PAPER_CONSTANTS.m_e), 2002); "
+            "v = eigenvector(h, float(lowest_eigenvalues(h, 1)[0])); "
+            f"print(len(v), {loaded('scipy')})")
     result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout == "[0, 0, 0, 0, 0, 0, 0, 0] []\n[0, 0] []\n[0, 0, 0, 0] []\n"
+    assert result.stdout == ("[0, 0, 0, 0, 0, 0, 0, 0] []\n[0, 0] []\n[0, 0, 0, 0] []\n"
+                             "2002 []\n")
 
 
 def test_dynamics_probabilities_and_periodicity(capsys):

@@ -130,14 +130,8 @@ def _with_b(spec, b):
     return WellSpec(spec.a, b, spec.k, spec.m, spec.constants)
 
 
-def _parity_defect(v):
-    # distance from the nearer of pure even and pure odd parity
-    mirrored = v[::-1]
-    return min(np.linalg.norm(v - mirrored), np.linalg.norm(v + mirrored)) / np.linalg.norm(v)
-
-
 def _resolution(h):
-    # the grid's eigenvalue resolution, 4 eps ||H||, that eigenvector's tie rule uses
+    # the resolution of Sturm bisection on the assembled matrix, 4 eps ||H||
     return 4.0 * np.finfo(float).eps * (np.max(np.abs(h.diagonal)) + 2.0 * abs(h.off_diagonal))
 
 
@@ -240,11 +234,22 @@ def test_uncertified_eigenvalue_is_one_cli_error_line(argv, monkeypatch, capsys)
 
 @pytest.mark.parametrize("n", [20_000, 20_001])
 def test_eigenvector_parity_is_exact_at_600nm(table_well, n):
-    # at 600 nm the grid cannot separate the lowest pair; a full-grid
-    # inverse iteration returned parity-mixed vectors there
+    # at 600 nm e1 - e0 lies below 4 eps ||H|| but is 1800 times the
+    # certificate, so each level has its own exact parity and its own value
     h = build_grid_hamiltonian(_with_b(table_well, 600e-9), n)
-    for energy in lowest_eigenvalues(h, 4):
-        assert _parity_defect(eigenvector(h, float(energy))) <= 1e-14
+    for i, energy in enumerate(lowest_eigenvalues(h, 4)):
+        v = eigenvector(h, float(energy))
+        assert np.array_equal(v, (-1) ** i * v[::-1]), i
+        rq = float(v @ h.apply(v)) / float(v @ v)
+        assert abs(rq / energy - 1.0) <= 1e-12, i
+
+
+def test_eigenvector_rejects_an_energy_off_the_grid_spectrum(table_well):
+    h = build_grid_hamiltonian(table_well, 4994)
+    e0, _, e2 = lowest_eigenvalues(h, 3)
+    for energy in (0.5 * (e0 + e2), 0.5 * e0, 10.0 * float(np.max(h.diagonal)), math.nan):
+        with pytest.raises(ValueError):
+            eigenvector(h, float(energy))
 
 
 def test_unresolved_pair_gives_the_even_ground_state(table_well):
@@ -263,14 +268,15 @@ def test_unresolved_pair_gives_the_even_ground_state(table_well):
 @pytest.mark.parametrize("n", [4994, 4995])
 def test_level_one_is_odd_where_the_pair_is_resolved(table_well, n):
     seen = set()
-    for b_nm in (100, 200, 300, 400, 500, 600, 700):
+    for b_nm in (100, 200, 300, 400, 500, 600, 700, 800, 900, 1000):
         h = build_grid_hamiltonian(_with_b(table_well, b_nm * 1e-9), n)
         e0, e1 = lowest_eigenvalues(h, 2)
         v = eigenvector(h, float(e1))
-        if e1 - e0 > 2.0 * _resolution(h):
+        certificate = 1e-13 * h.energy_scale
+        if e1 - e0 > 2.0 * certificate:
             assert np.array_equal(v, -v[::-1]), b_nm
             seen.add("odd")
-        elif e1 - e0 < 0.5 * _resolution(h):
+        elif e1 - e0 < 0.5 * certificate:
             assert np.array_equal(v, v[::-1]), b_nm  # the tie rule: even wins
             seen.add("even")
     assert seen == {"odd", "even"}
