@@ -213,7 +213,11 @@ def transition_amplitude(e_n: float, e_m: float, matrix_elems: tuple[complex, co
 # ---------------------------------------------------------------------------
 # RK4 oracle for the driven two-level ODEs i hbar dc/dt = M(t) c
 
-MatrixFn = Callable[[float], np.ndarray]
+MatrixFn = Callable[[np.ndarray], np.ndarray]
+"""M(t): maps an array of times, shape (N,), to matrices, shape (N, 2, 2);
+a scalar time gives one (2, 2) matrix."""
+
+_RK4_BATCH = 4096  # substeps whose stage matrices are read in one call
 
 
 def rk4_step_for(sys: TwoLevelSystem, drive: HarmonicDrive) -> float:
@@ -231,7 +235,10 @@ def rk4_two_level(matrix_fn: MatrixFn, c0: np.ndarray, times: np.ndarray,
                   hbar: float, max_step: float) -> np.ndarray:
     """Integrate i hbar dc/dt = M(t) c through the sample times; returns an
     array of shape (len(times), 2).  The state is carried as two Python
-    complex numbers and M is read once per distinct stage time."""
+    complex numbers.  Per sample interval (per _RK4_BATCH substeps of a
+    longer one), the stage times t, t + h/2 and t + h of every substep go
+    to matrix_fn in one array call, so the shared time t + h is read twice,
+    as the end of one substep and the start of the next."""
     times = np.asarray(times, dtype=float)
     out = np.empty((len(times), 2), dtype=complex)
     x, y = np.asarray(c0, dtype=complex).tolist()
@@ -245,20 +252,22 @@ def rk4_two_level(matrix_fn: MatrixFn, c0: np.ndarray, times: np.ndarray,
         n_sub = max(1, math.ceil(abs(span) / max_step))
         h = span / n_sub
         half = h / 2.0
-        for s in range(n_sub):
-            ts = t_now + s * h
-            (a, b), (c, d) = matrix_fn(ts).tolist()
-            k1x, k1y = p * (a * x + b * y), p * (c * x + d * y)
-            (a, b), (c, d) = matrix_fn(ts + half).tolist()
-            x2, y2 = x + half * k1x, y + half * k1y
-            k2x, k2y = p * (a * x2 + b * y2), p * (c * x2 + d * y2)
-            x3, y3 = x + half * k2x, y + half * k2y
-            k3x, k3y = p * (a * x3 + b * y3), p * (c * x3 + d * y3)
-            (a, b), (c, d) = matrix_fn(ts + h).tolist()
-            x4, y4 = x + h * k3x, y + h * k3y
-            k4x, k4y = p * (a * x4 + b * y4), p * (c * x4 + d * y4)
-            x = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        for first in range(0, n_sub, _RK4_BATCH):
+            ts = t_now + np.arange(first, min(first + _RK4_BATCH, n_sub)) * h
+            stages = matrix_fn(np.concatenate((ts, ts + half, ts + h)))
+            for m1, m2, m4 in zip(*stages.reshape(3, len(ts), 2, 2).tolist()):
+                (a, b), (c, d) = m1
+                k1x, k1y = p * (a * x + b * y), p * (c * x + d * y)
+                (a, b), (c, d) = m2
+                x2, y2 = x + half * k1x, y + half * k1y
+                k2x, k2y = p * (a * x2 + b * y2), p * (c * x2 + d * y2)
+                x3, y3 = x + half * k2x, y + half * k2y
+                k3x, k3y = p * (a * x3 + b * y3), p * (c * x3 + d * y3)
+                (a, b), (c, d) = m4
+                x4, y4 = x + h * k3x, y + h * k3y
+                k4x, k4y = p * (a * x4 + b * y4), p * (c * x4 + d * y4)
+                x = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+                y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         t_now = t_next
         out[idx] = (x, y)
     return out
@@ -267,9 +276,12 @@ def rk4_two_level(matrix_fn: MatrixFn, c0: np.ndarray, times: np.ndarray,
 def _drive_matrix(amplitude: float, rate: float) -> MatrixFn:
     """A [[0, e^{i rate t}], [cc, 0]]."""
 
-    def matrix(t: float) -> np.ndarray:
-        phase = cmath.exp(1j * rate * t)
-        return np.array([[0.0, amplitude * phase], [amplitude * phase.conjugate(), 0.0]])
+    def matrix(t) -> np.ndarray:
+        phase = np.exp(1j * rate * np.asarray(t, dtype=float))
+        m = np.zeros(phase.shape + (2, 2), dtype=complex)
+        m[..., 0, 1] = amplitude * phase
+        m[..., 1, 0] = amplitude * np.conj(phase)
+        return m
 
     return matrix
 
@@ -290,7 +302,7 @@ def flip_flop_generator(sys: TwoLevelSystem) -> MatrixFn:
     """Static coupling -(hbar omega/2) sigma_x that drives the flip-flop."""
     m = -(sys.hbar * sys.omega / 2.0) * np.array([[0.0, 1.0], [1.0, 0.0]])
 
-    def matrix(_: float) -> np.ndarray:
-        return m
+    def matrix(t) -> np.ndarray:
+        return np.broadcast_to(m, np.shape(t) + (2, 2))
 
     return matrix

@@ -24,12 +24,18 @@ Ritz vectors in second-difference form, each certified by a Kato-Temple
 residual bound and a Sylvester inertia count.  They are exact for the
 finite-difference operator to about 1e-16 relative, where Sturm bisection
 of the assembled matrix stops at eps ||H||, which grows as n^2.
+
+Each GridHamiltonian memoises the last certified run of each block, so
+eigenvector after lowest_eigenvalues on the same H reuses its Ritz pairs
+instead of solving again.  lowest_eigenvalues only writes the memo, so its
+values never depend on earlier calls; eigenvector's last bits depend on
+which run it reuses.  No cache outlives the GridHamiltonian.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +70,9 @@ class GridHamiltonian:
     potential: np.ndarray
     half_width: float
     energy_scale: float  # conditioning scale (B) used for the eigensolves
+    # parity (True: even) -> the last certified run (rho, vectors) of
+    # _block_lowest on this H, for eigenvector to reuse
+    _ritz: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.diagonal.setflags(write=False)
@@ -90,7 +99,9 @@ def _second_difference_form(off: float, potential: np.ndarray, v: np.ndarray,
     d2[1:-1] = (v[2:] - v[1:-1]) + (v[:-2] - v[1:-1])
     d2[0] = (v[1] - v[0]) - 2.0 * v[0]
     d2[-1] = (v[-2] - v[-1]) + (beyond - v[-1])
-    return -t * d2 + potential.astype(v.dtype, copy=False) * v
+    d2 *= -t
+    d2 += potential.astype(v.dtype, copy=False) * v
+    return d2
 
 
 def build_grid_hamiltonian(spec: WellSpec, n: int = 20_000) -> GridHamiltonian:
@@ -242,8 +253,20 @@ def _count_below(h: GridHamiltonian, even: bool, shift: float) -> int:
     return _cyclic_reduction(diag, off, keep=False)[1]
 
 
-def _block_lowest(h: GridHamiltonian, even: bool, k: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, list[np.ndarray]]:
+def _basis(store: list, rows: int, size: int, filled: int = 0) -> np.ndarray:
+    """A rows x size Lanczos basis on the flat buffer held in store, which
+    is reused from call to call and replaced by a larger one when short;
+    its first filled rows keep their values."""
+    if not store or store[0].size < rows * size:
+        grown = np.empty(rows * size)
+        if filled:
+            grown[:filled * size] = store[0][:filled * size]
+        store[:] = [grown]
+    return store[0][:rows * size].reshape(rows, size)
+
+
+def _block_lowest(h: GridHamiltonian, even: bool, k: int, rng: np.random.Generator,
+                  store: list | None = None) -> tuple[np.ndarray, list[np.ndarray]]:
     """The k lowest eigenvalues (J) of one parity block, certified, with
     their Ritz vectors on the block.
 
@@ -267,7 +290,9 @@ def _block_lowest(h: GridHamiltonian, even: bool, k: int,
     refined once against a long-double residual, and is rescored in long
     double.  A vector that still fails raises ConvergenceFailure.  The
     vectors returned are the ones scored: float64 purified Ritz vectors, or
-    long double where the correction ran."""
+    long double where the correction ran.  The basis lives in store (see
+    _basis), so consecutive calls can share one buffer."""
+    store = [] if store is None else store
     scale = h.energy_scale
     diag, off, potential, ghost = _scaled_block(h, even)
     factor, _ = _cyclic_reduction(diag, off)
@@ -275,7 +300,7 @@ def _block_lowest(h: GridHamiltonian, even: bool, k: int,
     del diag, off
     rows = min(size, 4 * k + 6)  # covers the steps seen for k <= 8; doubles if short
     limit = min(size - 1, 4 * rows)
-    basis = np.empty((rows, size))
+    basis = _basis(store, rows, size)
     basis[0] = _cr_solve(factor, rng.standard_normal(size))
     basis[0] /= np.linalg.norm(basis[0])
     alpha, beta = [], []
@@ -289,9 +314,7 @@ def _block_lowest(h: GridHamiltonian, even: bool, k: int,
             break
         if j + 1 == rows:
             rows = min(2 * rows, size)
-            grown = np.empty((rows, size))
-            grown[:j + 1] = basis[:j + 1]
-            basis = grown
+            basis = _basis(store, rows, size, j + 1)
         np.divide(w, beta[-1], out=basis[j + 1])
         del w
         if j < k:
@@ -318,6 +341,8 @@ def _block_lowest(h: GridHamiltonian, even: bool, k: int,
         del basis, ritz_vector
         failing = [i for i in range(k)
                    if norm2[i] > _CERTIFY_TOL * scale * _gap(rho, upper, i)]
+        if failing:
+            store.clear()  # the basis is spent: free it for the long-double work
         for i in failing:  # at the float64 floor: one mixed-precision correction
             x = vectors[i]
             y = _cr_solve(factor, x).astype(np.longdouble)
@@ -356,16 +381,22 @@ def lowest_eigenvalues(h: GridHamiltonian, count: int) -> np.ndarray:
     """The count smallest eigenvalues (J): the ceil(count/2) lowest of the
     even block and the floor(count/2) lowest of the odd block, which
     alternate up the spectrum, each by certified shift-invert Lanczos
-    (_block_lowest).  Every value is a Rayleigh quotient within
-    _CERTIFY_TOL * energy_scale of the exact finite-difference eigenvalue
-    by the Kato-Temple bound; where that cannot be certified it raises
-    ConvergenceFailure.  The start vectors come from a generator seeded
-    with n, so repeated calls are bit-identical."""
+    (_block_lowest, one basis buffer for both blocks).  Every value is a
+    Rayleigh quotient within _CERTIFY_TOL * energy_scale of the exact
+    finite-difference eigenvalue by the Kato-Temple bound; where that
+    cannot be certified it raises ConvergenceFailure.  The start vectors
+    come from a generator seeded with n, so repeated calls are
+    bit-identical.  Each block's run is stored in h._ritz for eigenvector,
+    and never read here, so the values do not depend on earlier calls."""
     if count < 1 or count > h.n // 10:
         raise ValueError(f"count must be in [1, n/10], got {count}")
     rng = np.random.default_rng(h.n)
-    parts = [_block_lowest(h, even, k, rng)[0]
-             for even, k in ((True, (count + 1) // 2), (False, count // 2)) if k]
+    store: list = []
+    parts = []
+    for even, k in ((True, (count + 1) // 2), (False, count // 2)):
+        if k:
+            h._ritz[even] = run = _block_lowest(h, even, k, rng, store)
+            parts.append(run[0])
     return np.sort(np.concatenate(parts))
 
 
@@ -375,9 +406,14 @@ def eigenvector(h: GridHamiltonian, eigenvalue: float) -> np.ndarray:
     of x = 0.
 
     Each parity block counts its eigenvalues below eigenvalue + w by
-    inertia, w = 4 eps ||H|| being the backward error of that count, and
-    runs the certified Lanczos of lowest_eigenvalues (_block_lowest, same
-    seed) for that many.  The block whose highest certified value is nearer
+    inertia, w = 4 eps ||H|| being the backward error of that count; for a
+    count k > 0 it takes the k-th certified Ritz pair of the block's run in
+    h._ritz when that run holds at least k, and otherwise makes and stores
+    its own run of the certified Lanczos of lowest_eigenvalues
+    (_block_lowest, same seed).  So after lowest_eigenvalues(h, count) the
+    vectors of those count levels cost no solve; their last bits depend on
+    which run they come from (the memoised and the standalone vectors
+    agree to about 1e-9 in L2).  The block whose certified value is nearer
     eigenvalue gives the Ritz vector, mirrored onto the full grid, so the
     vector has exact parity.  The tie rule: the odd block wins only when
     nearer by more than the Kato-Temple certificate _CERTIFY_TOL *
@@ -396,8 +432,10 @@ def eigenvector(h: GridHamiltonian, eigenvalue: float) -> np.ndarray:
     distance, vector = {}, {}
     for even, k in counts.items():
         if k:
-            rho, vectors = _block_lowest(h, even, k, rng)
-            distance[even], vector[even] = abs(rho[-1] - eigenvalue), vectors[-1]
+            if even not in h._ritz or len(h._ritz[even][0]) < k:
+                h._ritz[even] = _block_lowest(h, even, k, rng)
+            rho, vectors = h._ritz[even]
+            distance[even], vector[even] = abs(rho[k - 1] - eigenvalue), vectors[k - 1]
     even = distance.get(True, math.inf) <= distance.get(False, math.inf) + _CERTIFY_TOL * scale
     if distance.get(even, math.inf) > 1e-9 * abs(eigenvalue):
         raise ValueError(f"no grid eigenvalue within 1e-9 relative of {eigenvalue:.6e} J")

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -221,6 +220,18 @@ def test_transition_amplitude_resonant_guard(two_level):
                              two_level.omega, 1.0, two_level.hbar)
 
 
+def test_builtin_matrix_fns_map_an_array_of_times_like_stacked_scalar_calls(two_level):
+    drive = HarmonicDrive(0.05 * two_level.hbar * two_level.omega, 1.02 * two_level.omega)
+    times = np.linspace(-3.0, 7.0, 11) / two_level.omega
+    for fn in (simple_drive_interaction(two_level, drive), localized_drive_interaction(drive),
+               flip_flop_generator(two_level)):
+        batch = fn(times)
+        stacked = np.stack([fn(float(t)) for t in times])
+        assert batch.shape == stacked.shape == (len(times), 2, 2)
+        assert batch.dtype == stacked.dtype
+        assert batch.tobytes() == stacked.tobytes()
+
+
 def test_transition_amplitude_matches_first_order_rk4(two_level):
     # weak symmetric drive 2A cos(w' t) sigma_x; both matrix elements real
     hbar = two_level.hbar
@@ -229,11 +240,11 @@ def test_transition_amplitude_matches_first_order_rk4(two_level):
     omega_prime = 0.7 * omega
     drive = HarmonicDrive(a, omega_prime)
 
-    def interaction(t: float) -> np.ndarray:
-        coupling = 2.0 * a * math.cos(omega_prime * t)
-        phase = cmath.exp(-1j * omega * t)
-        return np.array([[0.0, coupling * phase],
-                         [coupling * phase.conjugate(), 0.0]])
+    def interaction(t: np.ndarray) -> np.ndarray:
+        coupling = 2.0 * a * np.cos(omega_prime * t) * np.exp(-1j * omega * t)
+        m = np.zeros(np.shape(t) + (2, 2), dtype=complex)
+        m[..., 0, 1], m[..., 1, 0] = coupling, np.conj(coupling)
+        return m
 
     times = np.linspace(0.0, 20.0 / omega, 40)
     c = rk4_two_level(interaction, np.array([1.0 + 0.0j, 0.0j]), times, hbar,
@@ -252,10 +263,11 @@ def test_transition_amplitude_matches_first_order_rk4(two_level):
 def test_rk4_is_fourth_order_under_a_time_dependent_drive():
     # no closed form: the drive's amplitude, phase and detuning all vary in
     # time, so a stage read at the wrong time drops the order below four
-    def matrix(t: float) -> np.ndarray:
-        detuning = 0.4 * math.cos(1.3 * t)
-        coupling = (1.0 + 0.5 * math.sin(2.1 * t)) * cmath.exp(0.7j * t * t)
-        return np.array([[detuning, coupling], [coupling.conjugate(), -detuning]])
+    def matrix(t: np.ndarray) -> np.ndarray:
+        detuning = 0.4 * np.cos(1.3 * t)
+        coupling = (1.0 + 0.5 * np.sin(2.1 * t)) * np.exp(0.7j * t * t)
+        rows = [np.stack([detuning, coupling], -1), np.stack([np.conj(coupling), -detuning], -1)]
+        return np.stack(rows, -2)
 
     times = np.array([0.0, 1.0, 2.0, 3.0])
     c0 = np.array([1.0 + 0.0j, 0.0j])

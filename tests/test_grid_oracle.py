@@ -280,3 +280,59 @@ def test_level_one_is_odd_where_the_pair_is_resolved(table_well, n):
             assert np.array_equal(v, v[::-1]), b_nm  # the tie rule: even wins
             seen.add("even")
     assert seen == {"odd", "even"}
+
+
+def _count_runs(monkeypatch) -> list:
+    """Record the parity of every Lanczos run (_block_lowest) from now on."""
+    import dwell.grid_oracle as grid_oracle
+
+    runs, original = [], grid_oracle._block_lowest
+
+    def counted(h, even, *args, **kwargs):
+        runs.append(even)
+        return original(h, even, *args, **kwargs)
+
+    monkeypatch.setattr(grid_oracle, "_block_lowest", counted)
+    return runs
+
+
+def test_eigenvector_reuses_the_run_of_lowest_eigenvalues(table_well, monkeypatch):
+    runs = _count_runs(monkeypatch)
+    h = build_grid_hamiltonian(table_well, 4994)
+    levels = lowest_eigenvalues(h, 6)
+    assert runs == [True, False]
+    for energy in levels:
+        eigenvector(h, float(energy))
+    assert runs == [True, False]
+
+
+def test_eigenvector_runs_its_own_lanczos_on_a_fresh_grid(table_well, monkeypatch):
+    e0 = float(lowest_eigenvalues(build_grid_hamiltonian(table_well, 4994), 1)[0])
+    runs = _count_runs(monkeypatch)
+    h = build_grid_hamiltonian(table_well, 4994)
+    first = eigenvector(h, e0)
+    assert runs == [True]
+    assert eigenvector(h, e0).tobytes() == first.tobytes()  # its run is stored
+    assert runs == [True]
+
+
+@pytest.mark.parametrize("b_nm, n", [(100, 4994), (600, 20_000)])
+def test_memoised_eigenvector_matches_the_standalone_one(table_well, b_nm, n):
+    spec = _with_b(table_well, b_nm * 1e-9)
+    shared = build_grid_hamiltonian(spec, n)
+    levels = lowest_eigenvalues(shared, 6)
+    for i, energy in enumerate(levels):
+        memoised = eigenvector(shared, float(energy))
+        alone = eigenvector(build_grid_hamiltonian(spec, n), float(energy))
+        assert np.array_equal(memoised, (-1) ** i * memoised[::-1]), i
+        assert np.array_equal(alone, (-1) ** i * alone[::-1]), i
+        assert math.sqrt(float(((memoised - alone) ** 2).sum()) * shared.dx) <= 1e-9, i
+
+
+def test_lowest_eigenvalues_ignores_the_memo(table_well):
+    h = build_grid_hamiltonian(table_well, 4994)
+    before = lowest_eigenvalues(h, 12)
+    lowest_eigenvalues(h, 2)  # leaves one-value runs in the memo
+    for energy in (before[11], before[0], before[6]):  # eigenvector stores its own runs
+        eigenvector(h, float(energy))
+    assert lowest_eigenvalues(h, 12).tobytes() == before.tobytes()
