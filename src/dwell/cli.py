@@ -12,7 +12,10 @@ Exit codes, one per channel:
   0  output written, no error record;
   1  output written with an error record (a solver failure, a failed sweep
      row or oracle check), or nothing written and an 'error: ValueError: ...'
-     line on stderr (invalid well, grid or environment parameters);
+     line on stderr (invalid well, grid or environment parameters).  A
+     solver failure reaches main as a DwellError, which main alone turns
+     into the error record; rows the command wrote before it stand, such as
+     thermal's T_B row;
   2  nothing written and a 'config error: ...' line on stderr (bad flag
      value or config file, unreadable config file or unwritable output
      path), or an argparse usage error.
@@ -29,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import re
 import sys
 from dataclasses import dataclass, field, replace
@@ -206,12 +208,8 @@ class Report:
 def _fmt_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, numbers.Integral):  # numpy registers its scalars with both ABCs
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        if math.isnan(value):
-            return "nan"
-        return f"{value:.9g}"
+    if isinstance(value, float):
+        return "nan" if math.isnan(value) else f"{value:.9g}"
     return str(value)
 
 
@@ -221,7 +219,7 @@ def emit(report: Report, cfg: RunConfig) -> int:
                    "rows": [[(None if isinstance(v, float) and math.isnan(v) else v)
                              for v in row] for row in report.rows],
                    "records": report.records}
-        text = json.dumps(payload, indent=2, default=_json_default) + "\n"
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [",".join(report.columns)]
         lines += [",".join(_fmt_cell(v) for v in row) for row in report.rows]
@@ -237,25 +235,10 @@ def emit(report: Report, cfg: RunConfig) -> int:
     return 1 if any(r["type"] == "error" for r in report.records) else 0
 
 
-def _json_default(value):
-    import numpy as np  # only a numpy value gets here, so numpy is already loaded
-
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
-def _error_record(exc: Exception) -> dict:
-    return {"type": "error", "error_class": type(exc).__name__, "message": str(exc)}
-
-
 # ---------------------------------------------------------------------------
 # commands: each sets report.columns first, then fills rows and records; a
-# DwellError it raises becomes main's error record
+# DwellError it raises becomes main's error record, after the rows it has
+# already written
 
 
 def cmd_spectrum(cfg: RunConfig, report: Report) -> None:
@@ -268,16 +251,17 @@ def cmd_spectrum(cfg: RunConfig, report: Report) -> None:
         return
     result = solve_below_barrier(to_dimensionless(spec))
     diag = {d.index: d for d in result.solver_report}
-    report.rows = [[level.index, level.parity, level.energy, level.eps,
-                    diag[level.index].residual] for level in result.levels]
+    rows = [[level.index, level.parity, level.energy, level.eps,
+             diag[level.index].residual] for level in result.levels]
     if cfg.oracle:
         from .grid_oracle import build_grid_hamiltonian, lowest_eigenvalues
 
         report.columns += ["grid_energy_J", "grid_rel_diff"]
         grid = lowest_eigenvalues(build_grid_hamiltonian(spec, cfg.grid_n),
                                   len(result.levels))
-        for row, level, grid_e in zip(report.rows, result.levels, grid):
+        for row, level, grid_e in zip(rows, result.levels, grid):
             row.extend([float(grid_e), abs(float(grid_e) / level.energy - 1.0)])
+    report.rows = rows
 
 
 def table1_rows():
@@ -366,23 +350,17 @@ def cmd_thermal(cfg: RunConfig, report: Report) -> None:
     spec = cfg.well()
     report.columns = ["t_bound_K", "e2_minus_e1_J", "t_max_K", "t_max_over_t_bound"]
     t_bound = thermal_mod.global_temperature_bound(spec.a, spec.m, spec.constants)
-    gap12 = math.nan
-    t_max = math.nan
-    ratio = math.nan
-    try:  # T_B is defined without the spectrum: emit it even when the solve fails
-        result = solve_below_barrier(to_dimensionless(spec))
-        levels = {lv.index: lv for lv in result.levels}
-        if 1 in levels and 2 in levels:
-            gap12 = levels[2].energy - levels[1].energy
-            t_max = thermal_mod.temperature_limit(gap12, spec.constants)
-            ratio = t_max / t_bound
-        else:
-            report.records.append({"type": "warning",
-                                   "message": "fewer than three levels below the barrier; "
-                                              "only the geometric bound T_B is defined"})
-    except DwellError as exc:
-        report.records.append(_error_record(exc))
-    report.rows = [[t_bound, gap12, t_max, ratio]]
+    # T_B is defined without the spectrum: its row stands even when the solve fails
+    report.rows = [[t_bound, math.nan, math.nan, math.nan]]
+    levels = {lv.index: lv for lv in solve_below_barrier(to_dimensionless(spec)).levels}
+    if 1 in levels and 2 in levels:
+        gap12 = levels[2].energy - levels[1].energy
+        t_max = thermal_mod.temperature_limit(gap12, spec.constants)
+        report.rows = [[t_bound, gap12, t_max, t_max / t_bound]]
+    else:
+        report.records.append({"type": "warning",
+                               "message": "fewer than three levels below the barrier; "
+                                          "only the geometric bound T_B is defined"})
 
 
 def cmd_gap_sweep(cfg: RunConfig, report: Report) -> None:
@@ -476,8 +454,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             _COMMANDS[args.command](cfg, report)
         except DwellError as exc:
-            report.rows = []
-            report.records.append(_error_record(exc))
+            report.records.append({"type": "error", "error_class": type(exc).__name__,
+                                   "message": str(exc)})
         return emit(report, cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateGap, ResonantDenominator
-from .spectrum import lowest_pair
+from .spectrum import gap01, lowest_pair
 from .units import WellSpec, to_dimensionless
 
 __all__ = [
@@ -107,10 +107,7 @@ class TwoLevelSystem:
         result = lowest_pair(to_dimensionless(spec))
         if len(result.levels) < 2:
             raise DegenerateGap("well does not hold a full pair below the barrier")
-        if result.solver_report[0].degenerate_pair:
-            raise DegenerateGap(
-                "pair splitting is below float64 resolution; no two-level "
-                "dynamics can be built from it")
+        gap01(result)  # DegenerateGap when the solver flags the pair
         level0, level1 = result.levels
         psi0 = build_eigenfunction(spec, level0)
         psi1 = build_eigenfunction(spec, level1)

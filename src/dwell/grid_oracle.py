@@ -137,11 +137,11 @@ def build_grid_hamiltonian(spec: WellSpec, n: int = 20_000) -> GridHamiltonian:
     return GridHamiltonian(n, dx, diag, -t, v, half, spec.barrier_bound)
 
 
-def aligned_size(spec: WellSpec, target: int, max_denominator: int = 200) -> int:
+def aligned_size(spec: WellSpec, target: int) -> int:
     """Largest grid size <= target for which both potential steps fall on
-    cell edges (needs b/a close to a small rational); used by convergence
-    studies so the interface error constant is reproducible across sizes."""
-    frac = Fraction(2.0 * spec.b / spec.a).limit_denominator(max_denominator)
+    cell edges (needs 2b/a close to a fraction of denominator <= 200); used by
+    convergence studies so the interface error constant is reproducible."""
+    frac = Fraction(2.0 * spec.b / spec.a).limit_denominator(200)
     if abs(float(frac) - 2.0 * spec.b / spec.a) > 1e-12:
         raise ValueError("b/a is not close to a small rational; no aligned size")
     period = 2 * frac.denominator + frac.numerator

@@ -82,6 +82,7 @@ _BAND_ABS = 1e-11
 _POLE_MARGIN = 1e-6
 _SCOUT_ITER = 40
 _SCOUT_TOL = 1e-12
+_GAP_GRID_RATIO = 2.0 ** 0.125  # find_b_for_gap's geometric step in b
 
 Parity = Literal["even", "odd"]
 
@@ -122,14 +123,6 @@ class SpectrumResult:
             tied_pair = hi.index in degenerate and hi.index == lo.index + 1
             if not (tied_pair and hi.eps >= lo.eps):
                 raise ValueError(f"levels {lo.index},{hi.index} are not increasing")
-
-    @property
-    def kappa(self) -> float:
-        return self.well.kappa
-
-    @property
-    def lam(self) -> float:
-        return self.well.lam
 
     @property
     def eps_values(self) -> tuple[float, ...]:
@@ -486,14 +479,13 @@ class BoundReport:
         return tuple(c for c in self.checks if c.applicable and not c.holds)
 
 
-# ties from a coalesced pair are satisfied-at-precision, not violations
-_TIE_TOL = 1e-12
-
-
 def verify_bounds(result: SpectrumResult) -> BoundReport:
     """Check every spectral inequality the well family guarantees:
     B/4 < E0 < E1 < B; the per-pair brackets; E_{2n+2}-E_{2n+1} > (n+5/4)B;
-    (5/4)B < E2-E1 < (15/4)B; E1-E0 < (3/4)B.  Margins are dimensionless."""
+    (5/4)B < E2-E1 < (15/4)B; E1-E0 < (3/4)B.  Margins are dimensionless.
+    The solver clamps a flagged pair to an exact tie, so the ordering check
+    of a degenerate pair holds at margin 0.0; every other check needs a
+    positive margin."""
     if not result.levels:
         raise ValueError("spectrum is empty")
     eps = {level.index: level.eps for level in result.levels}
@@ -501,7 +493,7 @@ def verify_bounds(result: SpectrumResult) -> BoundReport:
     checks: list[BoundCheck] = []
 
     def strict(name: str, margin: float, degenerate: bool = False) -> None:
-        holds = margin > 0 or (degenerate and margin >= -_TIE_TOL)
+        holds = margin > 0 or (degenerate and margin == 0.0)
         checks.append(BoundCheck(name, holds, margin))
 
     def vacuous(name: str) -> None:
@@ -553,7 +545,8 @@ class Gap01:
 
 
 def gap01(result: SpectrumResult) -> Gap01:
-    """Splitting of the lowest pair; DegenerateGap when f64 cannot resolve it."""
+    """Splitting of the lowest pair; DegenerateGap when the solver flags
+    the pair as one it cannot resolve."""
     eps = {level.index: level for level in result.levels}
     if 0 not in eps or 1 not in eps:
         raise ValueError("gap01 needs both levels of the lowest pair")
@@ -562,8 +555,8 @@ def gap01(result: SpectrumResult) -> Gap01:
         raise ValueError("well carries no SI scale; solve from a WellSpec")
     delta = e1 - e0
     if result.solver_report[0].degenerate_pair:
-        raise DegenerateGap(
-            f"E1 - E0 = {delta:.3e} J is below f64 resolution of E1 = {e1:.3e} J")
+        raise DegenerateGap(f"the solver cannot resolve the lowest pair at E1 = {e1:.3e} J: "
+                            f"E1 - E0 = {delta:.3e} J is within its resolution")
     hbar = result.well.constants.hbar
     tau = 2.0 * math.pi * hbar / delta
     floor = 4.0 * result.well.m * result.well.a**2 / (math.pi * hbar)
@@ -614,9 +607,10 @@ class GapSearchResult:
 
 
 def find_b_for_gap(delta: float, template: WellSpec, *,
-                   ratio: float = 2.0 ** 0.125, cap_factor: float = 100.0) -> GapSearchResult:
-    """Walk a geometric grid b_i = b0 * ratio^i until the splitting drops
-    below delta; NotReached once b exceeds cap_factor * a."""
+                   cap_factor: float = 100.0) -> GapSearchResult:
+    """Walk the geometric grid b_i = b0 * 2^(i/8), from the template's b0,
+    until the splitting drops below delta; NotReached once b exceeds
+    cap_factor * a."""
     if delta <= 0:
         raise ValueError("delta must be > 0")
     if not template.big_enough:
@@ -643,6 +637,6 @@ def find_b_for_gap(delta: float, template: WellSpec, *,
             bound = 4.0 * well.kappa - 1.0
             return GapSearchResult(b, gap, even.eps, odd.eps, cot2, bound,
                                    cot2 < bound, steps)
-        b *= ratio
+        b *= _GAP_GRID_RATIO
         steps += 1
     raise NotReached(f"gap {delta:.3e} J not reached before b = {cap:.3e} m")

@@ -60,13 +60,13 @@ CODATA_CONSTANTS = PhysicalConstants(m_e=9.1093837015e-31)
 _CONSTANT_SETS = {"paper": PAPER_CONSTANTS, "codata": CODATA_CONSTANTS}
 
 
-def constants_from_env(env_var: str = "DWELL_CONSTANTS") -> PhysicalConstants:
-    """Pick the electron-mass convention from the environment (default paper)."""
-    mode = os.environ.get(env_var, "paper").strip().lower()
+def constants_from_env() -> PhysicalConstants:
+    """Pick the electron-mass convention from DWELL_CONSTANTS (default paper)."""
+    mode = os.environ.get("DWELL_CONSTANTS", "paper").strip().lower()
     try:
         return _CONSTANT_SETS[mode]
     except KeyError:
-        raise ValueError(f"{env_var} must be 'paper' or 'codata', got {mode!r}") from None
+        raise ValueError(f"DWELL_CONSTANTS must be 'paper' or 'codata', got {mode!r}") from None
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,6 @@ class PiecewiseEigenfunction:
     alpha: float
     beta: float
     amplitudes: tuple[float, float, float]  # (left valley, barrier, right valley)
-    norm_constant: float
     hbar: float
     mass: float
 
@@ -125,20 +124,15 @@ def build_eigenfunction(well: WellSpec, level: EnergyLevel) -> PiecewiseEigenfun
         raise MatchFailure(f"valley amplitude cosh(beta b)/sin(alpha a) at beta*b = "
                            f"{beta * b:.1f} overflows its square")
 
-    if level.parity == "even":
-        amp_bar_raw = 1.0
-        amp_raw = math.cosh(beta * b) / sin_aa
-        deriv_lhs = -alpha * amp_raw * math.cos(alpha * a)
-        deriv_rhs = beta * math.sinh(beta * b)
-        norm_sq = (2.0 * amp_raw**2 * _int_sin_sq(alpha, a)
-                   + (b + math.sinh(2.0 * beta * b) / (2.0 * beta)))
-    else:
-        amp_bar_raw = 1.0
-        amp_raw = math.sinh(beta * b) / sin_aa
-        deriv_lhs = -alpha * amp_raw * math.cos(alpha * a)
-        deriv_rhs = beta * math.cosh(beta * b)
-        norm_sq = (2.0 * amp_raw**2 * _int_sin_sq(alpha, a)
-                   + (math.sinh(2.0 * beta * b) / (2.0 * beta) - b))
+    # barrier profile (value, slope) with unit amplitude, and the sign of
+    # the left valley: cosh, sinh, + (even) or sinh, cosh, - (odd)
+    value, slope, sign = ((math.cosh, math.sinh, 1.0) if level.parity == "even"
+                          else (math.sinh, math.cosh, -1.0))
+    amp_raw = value(beta * b) / sin_aa
+    deriv_lhs = -alpha * amp_raw * math.cos(alpha * a)
+    deriv_rhs = beta * slope(beta * b)
+    norm_sq = (2.0 * amp_raw**2 * _int_sin_sq(alpha, a)
+               + (math.sinh(2.0 * beta * b) / (2.0 * beta) + sign * b))
 
     residual = abs(deriv_lhs - deriv_rhs) / max(abs(deriv_lhs), abs(deriv_rhs))
     if residual > _MATCH_TOL:
@@ -148,10 +142,8 @@ def build_eigenfunction(well: WellSpec, level: EnergyLevel) -> PiecewiseEigenfun
 
     norm = 1.0 / math.sqrt(norm_sq)
     amp = amp_raw * norm
-    amp_bar = amp_bar_raw * norm
-    amp_left = amp if level.parity == "even" else -amp
     return PiecewiseEigenfunction(level, a, b, alpha, beta,
-                                  (amp_left, amp_bar, amp), norm, hbar, well.m)
+                                  (sign * amp, norm, amp), hbar, well.m)
 
 
 def _int_sin_sq(p: float, a: float) -> float:
@@ -183,8 +175,11 @@ def _int_u_sin_sin(p: float, q: float, a: float) -> float:
 
 
 def _int_u_sinh(c: float, b: float) -> float:
-    # int_0^b u sinh(c u) du
-    return b * math.cosh(c * b) / c - math.sinh(c * b) / (c * c)
+    # int_0^b u sinh(c u) du, series for small |c| b where the closed form cancels
+    cb = c * b
+    if abs(cb) < 1e-4:
+        return c * b**3 / 3.0 * (1.0 + cb * cb / 10.0)
+    return b * math.cosh(cb) / c - math.sinh(cb) / (c * c)
 
 
 def position_matrix_element(f: PiecewiseEigenfunction, g: PiecewiseEigenfunction) -> float:
@@ -206,16 +201,8 @@ def position_matrix_element(f: PiecewiseEigenfunction, g: PiecewiseEigenfunction
         p = f.beta if f.parity == "even" else g.beta
         q = g.beta if f.parity == "even" else f.beta
         coeff = fb * gb
-        barrier = coeff * (_int_u_sinh(q + p, b) + _int_u_sinh_stable(q - p, b))
+        barrier = coeff * (_int_u_sinh(q + p, b) + _int_u_sinh(q - p, b))
     return wells + barrier
-
-
-def _int_u_sinh_stable(c: float, b: float) -> float:
-    # int_0^b u sinh(c u) du, series for small |c| b where the closed form cancels
-    if abs(c) * b < 1e-4:
-        cb = c * b
-        return c * b**3 / 3.0 * (1.0 + cb * cb / 10.0)
-    return _int_u_sinh(c, b)
 
 
 def dipole_matrix_element(psi0: PiecewiseEigenfunction, psi1: PiecewiseEigenfunction) -> float:
@@ -301,10 +288,6 @@ class LocalizedState:
     def __call__(self, x, t: float) -> np.ndarray:
         return localized_state_value(self, x, t)
 
-    @property
-    def mirror(self) -> "LocalizedState":
-        return LocalizedState(self.psi0, self.psi1, "R" if self.side == "L" else "L")
-
 
 def localized_state_value(state: LocalizedState, x, t: float) -> np.ndarray:
     """(1/sqrt2) [exp(-i E0 t/hbar) psi0 +- exp(-i E1 t/hbar) psi1]."""
@@ -315,10 +298,10 @@ def localized_state_value(state: LocalizedState, x, t: float) -> np.ndarray:
     return (phase0 * state.psi0(x) + sign * phase1 * state.psi1(x)) / math.sqrt(2.0)
 
 
-def count_nodes(psi: PiecewiseEigenfunction, samples: int = 10_000) -> int:
-    """Interior sign changes on a uniform grid (walls excluded)."""
+def count_nodes(psi: PiecewiseEigenfunction) -> int:
+    """Interior sign changes over 10 000 uniform points (walls excluded)."""
     edge = psi.a + psi.b
-    x = np.linspace(-edge, edge, samples + 2)[1:-1]
+    x = np.linspace(-edge, edge, 10_002)[1:-1]
     values = psi(x)
     values = values[np.abs(values) > 1e-30]
     return int(np.sum(np.sign(values[1:]) != np.sign(values[:-1])))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -362,6 +363,40 @@ def test_env_var_selects_mass(capsys, monkeypatch):
     monkeypatch.setenv("DWELL_CONSTANTS", "paper")
     _, out_paper = run_cli(["spectrum"], capsys)
     assert out_codata != out_paper
+
+
+def _readme_cli_examples():
+    """The argv of each `dwell ...` line in README's CLI code block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("dwell ")]
+
+
+README_EXAMPLES = _readme_cli_examples()
+
+
+def test_readme_examples_cover_every_command():
+    assert sorted(argv[0] for argv in README_EXAMPLES) == sorted(dwell.cli._COMMANDS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_readme_example_emits_plain_cells(argv, fmt, capsys, monkeypatch):
+    # every row cell is a plain Python value, so emit needs no numpy fallback
+    monkeypatch.delenv("DWELL_CONSTANTS", raising=False)
+    reports = []
+    emit = dwell.cli.emit
+    monkeypatch.setattr(dwell.cli, "emit",
+                        lambda report, cfg: reports.append(report) or emit(report, cfg))
+    code, out = run_cli([*argv, "--format", fmt], capsys)
+    assert code == 0
+    plain = (bool, int, float, str)
+    assert all(type(cell) in plain for row in reports[0].rows for cell in row)
+    if fmt == "json":
+        rows = json.loads(out)["rows"]
+        assert rows and all(cell is None or type(cell) in plain for row in rows for cell in row)
 
 
 def test_thermal_golden_bytes(capsys):

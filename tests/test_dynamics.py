@@ -342,7 +342,7 @@ def test_from_well_raises_exactly_on_flagged_widths(table_well):
         result = solve_below_barrier(to_dimensionless(spec))
         if result.solver_report[0].degenerate_pair:
             flagged += 1
-            with pytest.raises(DegenerateGap, match="below float64 resolution"):
+            with pytest.raises(DegenerateGap, match="the solver cannot resolve the lowest pair"):
                 TwoLevelSystem.from_well(spec)
         else:
             sys = TwoLevelSystem.from_well(spec)

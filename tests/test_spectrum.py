@@ -173,6 +173,19 @@ def test_verify_bounds_reference_row(table_spectrum):
     assert 0.25 < E0_REPORTED / b_scale < E1_REPORTED / b_scale < 1.0
 
 
+def test_verify_bounds_holds_flagged_pairs_at_exact_ties():
+    # kappa = 40, lambda = 2: all six pairs are flagged and clamped to ties
+    result = solve_below_barrier(ScaledWell(40.0, 2.0))
+    flagged = {d.index // 2 for d in result.solver_report if d.degenerate_pair}
+    assert flagged == set(range(6))
+    checks = {c.name: c for c in verify_bounds(result).checks}
+    ties = ["window: eps1 > eps0",
+            *(f"bracket pair {n}: eps_{2*n} < eps_{2*n+1}" for n in sorted(flagged))]
+    for name in ties:
+        assert checks[name].margin == 0.0 and checks[name].holds, name
+    assert all(c.margin >= 0.0 for c in checks.values() if c.applicable)
+
+
 def test_gap01_reference_row(table_spectrum):
     gap = gap01(table_spectrum)
     assert gap.delta_e == pytest.approx(GAP_TABLE_ROW1, rel=1e-6)
