@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from dwell import find_b_for_gap, gap_sweep
-from dwell.cli import TABLE1_B_VALUES, TABLE1_WELL
+from dwell import TABLE1_B_VALUES, TABLE1_WELL, find_b_for_gap, gap_sweep
 
 rows = gap_sweep(TABLE1_WELL, list(TABLE1_B_VALUES))
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from dwell import (
+    TABLE1_WELL,
     LocalizedState,
     TwoLevelSystem,
     build_eigenfunction,
@@ -23,7 +24,6 @@ from dwell import (
     to_dimensionless,
     x_expectation,
 )
-from dwell.cli import TABLE1_WELL
 
 sys_ = TwoLevelSystem.from_well(TABLE1_WELL)
 period = 2.0 * math.pi / sys_.omega

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from dwell import (
+    TABLE1_WELL,
     HarmonicDrive,
     TwoLevelSystem,
     rabi_off_resonance,
@@ -21,7 +22,6 @@ from dwell import (
     to_dimensionless,
     wien_peak_frequency,
 )
-from dwell.cli import TABLE1_WELL
 from dwell.dynamics import rk4_step_for, rk4_two_level, simple_drive_interaction
 
 sys_ = TwoLevelSystem.from_well(TABLE1_WELL)

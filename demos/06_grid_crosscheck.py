@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from dwell import (
+    TABLE1_WELL,
     aligned_size,
     build_eigenfunction,
     build_grid_hamiltonian,
@@ -19,7 +20,6 @@ from dwell import (
     solve_below_barrier,
     to_dimensionless,
 )
-from dwell.cli import TABLE1_WELL
 
 result = solve_below_barrier(to_dimensionless(TABLE1_WELL))
 h = build_grid_hamiltonian(TABLE1_WELL, 20_000)

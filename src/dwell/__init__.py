@@ -23,8 +23,8 @@ _EXPORTS = {name: module for module, names in {
     "thermal": ("ThermalLimit", "global_temperature_bound", "temperature_limit",
                 "thermal_report", "wien_peak_frequency"),
     "units": ("CODATA_CONSTANTS", "PAPER_CONSTANTS", "PhysicalConstants", "ScaledWell",
-              "WellSpec", "barrier_bound", "constants_from_env", "from_dimensionless",
-              "to_dimensionless"),
+              "TABLE1_B_VALUES", "TABLE1_WELL", "WellSpec", "barrier_bound",
+              "constants_from_env", "from_dimensionless", "to_dimensionless"),
     "wavefunction": ("LocalizedState", "PiecewiseEigenfunction", "build_eigenfunction",
                      "count_nodes", "dipole_matrix_element", "localized_state_value",
                      "position_matrix_element"),

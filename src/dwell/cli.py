@@ -40,20 +40,10 @@ from pathlib import Path
 from . import thermal as thermal_mod
 from .errors import AmbiguousPurity, ConfigError, DwellError
 from .spectrum import find_b_for_gap, gap_sweep, solve_below_barrier
-from .units import CODATA_CONSTANTS, PhysicalConstants, WellSpec, constants_from_env, to_dimensionless
+from .units import (CODATA_CONSTANTS, TABLE1_B_VALUES, TABLE1_K, TABLE1_WELL, PhysicalConstants,
+                    WellSpec, constants_from_env, to_dimensionless)
 
-__all__ = ["main", "RunConfig", "TABLE1_B_VALUES", "TABLE1_WELL", "table1_rows"]
-
-# Reference geometry for the splitting-vs-width table: a = 1 um, electron
-# mass, k = 2e-24 J.  The barrier height and the full-precision electron
-# mass are the calibrated values that actually reproduce the published
-# reference energies (see the discrepancy records cmd_table1 emits).
-TABLE1_B_VALUES = tuple(b * 1e-9 for b in
-                        (100.0, 116.65290, 136.07900, 158.74011,
-                         185.17494, 216.01195, 251.98421))
-TABLE1_K = 2e-24
-TABLE1_WELL = WellSpec(a=1e-6, b=TABLE1_B_VALUES[0], k=TABLE1_K,
-                       m=CODATA_CONSTANTS.m_e, constants=CODATA_CONSTANTS)
+__all__ = ["main", "RunConfig", "table1_rows"]
 
 _UNIT_TABLES = {
     "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6,
@@ -254,14 +244,18 @@ def cmd_spectrum(cfg: RunConfig, report: Report) -> None:
     rows = [[level.index, level.parity, level.energy, level.eps,
              diag[level.index].residual] for level in result.levels]
     if cfg.oracle:
-        from .grid_oracle import build_grid_hamiltonian, lowest_eigenvalues
-
         report.columns += ["grid_energy_J", "grid_rel_diff"]
-        grid = lowest_eigenvalues(build_grid_hamiltonian(spec, cfg.grid_n),
-                                  len(result.levels))
-        for row, level, grid_e in zip(rows, result.levels, grid):
-            row.extend([float(grid_e), abs(float(grid_e) / level.energy - 1.0)])
+        for row, check in zip(rows, _grid_check(spec, result.levels, cfg.grid_n)):
+            row.extend(check)
     report.rows = rows
+
+
+def _grid_check(spec: WellSpec, levels, n: int) -> list[tuple[float, float]]:
+    """(grid energy, relative difference) of each level on an n-cell grid."""
+    from .grid_oracle import build_grid_hamiltonian, lowest_eigenvalues
+
+    grid = lowest_eigenvalues(build_grid_hamiltonian(spec, n), max(len(levels), 1))
+    return [(float(e), abs(float(e) / level.energy - 1.0)) for level, e in zip(levels, grid)]
 
 
 def table1_rows():
@@ -397,19 +391,14 @@ def cmd_density(cfg: RunConfig, report: Report) -> None:
 
 
 def cmd_oracle_check(cfg: RunConfig, report: Report) -> None:
-    from .grid_oracle import build_grid_hamiltonian, lowest_eigenvalues
-
     spec = cfg.well()
     report.columns = ["index", "parity", "energy_solver_J", "energy_grid_J", "rel_diff",
                       "within_tol"]
     result = solve_below_barrier(to_dimensionless(spec))
-    grid = lowest_eigenvalues(build_grid_hamiltonian(spec, cfg.grid_n),
-                              max(len(result.levels), 1))
     tol = 1e-4
-    for level, grid_e in zip(result.levels, grid):
-        rel = abs(float(grid_e) / level.energy - 1.0)
-        report.rows.append([level.index, level.parity, level.energy, float(grid_e),
-                            rel, rel <= tol])
+    for level, (grid_e, rel) in zip(result.levels,
+                                    _grid_check(spec, result.levels, cfg.grid_n)):
+        report.rows.append([level.index, level.parity, level.energy, grid_e, rel, rel <= tol])
         if rel > tol:
             report.records.append({"type": "error",
                                    "message": f"level {level.index}: grid disagreement "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BASIS_CHANGE, Basis, TwoByTwoOperator
+from .dynamics import Basis, TwoByTwoOperator
 from .errors import AmbiguousPurity, BasisMismatch
 
 __all__ = [
@@ -65,25 +65,19 @@ class CompositeState:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """2x2 Hermitian, unit-trace, positive-semidefinite matrix with a
-    basis tag."""
-
-    matrix: np.ndarray
-    basis: Basis
+class DensityMatrix(TwoByTwoOperator):
+    """A TwoByTwoOperator (cast, shape check, freeze) that is also
+    Hermitian, unit-trace and positive semidefinite."""
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"need a 2x2 matrix, got {m.shape}")
+        super().__post_init__()
+        m = self.matrix
         if not np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0):
             raise ValueError("density matrix is not Hermitian")
         if abs(m.trace().real - 1.0) > 1e-12:
             raise ValueError(f"trace must be 1, got {m.trace()!r}")
         if np.linalg.eigvalsh(m).min() < -1e-12:
             raise ValueError("density matrix has a negative eigenvalue")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
     @property
     def purity(self) -> float:
@@ -131,9 +125,7 @@ def expectation(rho: DensityMatrix, observable: TwoByTwoOperator) -> float:
 def change_basis(rho: DensityMatrix, to: Basis) -> DensityMatrix:
     """Rotate between the energy and localized bases with the fixed
     unitary that sends psi0 -> (psi0+psi1)/sqrt2; purity is preserved."""
-    if rho.basis is to:
-        return rho
-    return DensityMatrix(BASIS_CHANGE @ rho.matrix @ BASIS_CHANGE, to)
+    return rho if rho.basis is to else rho.rotated()
 
 
 def coherence_magnitude(rho: DensityMatrix) -> float:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateGap, ResonantDenominator
+from .errors import ResonantDenominator
 from .spectrum import gap01, lowest_pair
 from .units import WellSpec, to_dimensionless
 
@@ -63,9 +63,9 @@ class TwoByTwoOperator:
         object.__setattr__(self, "matrix", m)
 
     def rotated(self) -> "TwoByTwoOperator":
-        """Conjugate by the basis-change unitary, flipping the tag."""
+        """Conjugate by the basis-change unitary, flipping the tag; same type."""
         other = Basis.LOCALIZED if self.basis is Basis.ENERGY else Basis.ENERGY
-        return TwoByTwoOperator(BASIS_CHANGE @ self.matrix @ BASIS_CHANGE, other)
+        return type(self)(BASIS_CHANGE @ self.matrix @ BASIS_CHANGE, other)
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,7 @@ class TwoLevelSystem:
         from .wavefunction import build_eigenfunction, dipole_matrix_element
 
         result = lowest_pair(to_dimensionless(spec))
-        if len(result.levels) < 2:
-            raise DegenerateGap("well does not hold a full pair below the barrier")
-        gap01(result)  # DegenerateGap when the solver flags the pair
+        gap01(result)  # the one check of the lowest pair
         level0, level1 = result.levels
         psi0 = build_eigenfunction(spec, level0)
         psi1 = build_eigenfunction(spec, level1)

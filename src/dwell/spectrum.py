@@ -30,8 +30,8 @@ iterations count bracket halvings and Newton steps, not evaluations of F.
 
 A pair whose even/odd splitting float64 cannot resolve is flagged by
 LevelDiagnostics.degenerate_pair, set once per pair by the solver; that
-flag is the one definition of a degenerate pair, which gap01, gap_sweep,
-find_b_for_gap and TwoLevelSystem.from_well all read.
+flag is the one definition of a degenerate pair.  gap01, the one check of
+the lowest pair, reads it for gap_sweep, find_b_for_gap and from_well.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ _POLE_MARGIN = 1e-6
 _SCOUT_ITER = 40
 _SCOUT_TOL = 1e-12
 _GAP_GRID_RATIO = 2.0 ** 0.125  # find_b_for_gap's geometric step in b
+_GAP_CAP = 100.0  # find_b_for_gap stops past b = _GAP_CAP * a
 
 Parity = Literal["even", "odd"]
 
@@ -545,11 +546,12 @@ class Gap01:
 
 
 def gap01(result: SpectrumResult) -> Gap01:
-    """Splitting of the lowest pair; DegenerateGap when the solver flags
-    the pair as one it cannot resolve."""
+    """Splitting of the lowest pair, and its one check: BracketFailure
+    without an odd level, DegenerateGap on a pair the solver flags."""
     eps = {level.index: level for level in result.levels}
-    if 0 not in eps or 1 not in eps:
-        raise ValueError("gap01 needs both levels of the lowest pair")
+    if 1 not in eps:
+        raise BracketFailure("the lowest pair has no odd level below the barrier",
+                             (0.25, result.well.kappa))
     e0, e1 = eps[0].energy, eps[1].energy
     if not math.isfinite(e0):
         raise ValueError("well carries no SI scale; solve from a WellSpec")
@@ -606,35 +608,30 @@ class GapSearchResult:
     steps: int
 
 
-def find_b_for_gap(delta: float, template: WellSpec, *,
-                   cap_factor: float = 100.0) -> GapSearchResult:
-    """Walk the geometric grid b_i = b0 * 2^(i/8), from the template's b0,
-    until the splitting drops below delta; NotReached once b exceeds
-    cap_factor * a."""
+def find_b_for_gap(delta: float, template: WellSpec) -> GapSearchResult:
+    """Walk the grid b_i = b0 * 2^(i/8) from the template's b0 until
+    gap01's splitting drops below delta, reading its DegenerateGap as gap 0
+    unless delta < 1e-15 E1; NotReached past b = 100 a."""
     if delta <= 0:
         raise ValueError("delta must be > 0")
     if not template.big_enough:
         raise ValueError("template must be in the deep-barrier regime k >= 10 B")
-    cap = cap_factor * template.a
+    cap = _GAP_CAP * template.a
     b = template.b
     steps = 0
     while b <= cap:
-        well = to_dimensionless(template.with_b(b))
-        pair = lowest_pair(well)
-        if len(pair.levels) < 2:
-            raise BracketFailure("lowest odd level missing during gap search",
-                                 (0.25, well.kappa))
-        even, odd = pair.levels
-        gap = odd.energy - even.energy
-        if pair.solver_report[0].degenerate_pair:
-            if delta < 1e-15 * odd.energy:
-                raise DegenerateGap(
-                    f"target {delta:.3e} J is below f64 resolution at b = {b:.6g} m")
-            # coalesced at f64: true gap is far below any resolvable delta
+        pair = lowest_pair(to_dimensionless(template.with_b(b)))
+        try:
+            gap = gap01(pair).delta_e
+        except DegenerateGap:
+            if delta < 1e-15 * pair.levels[1].energy:
+                raise DegenerateGap(f"target {delta:.3e} J is below the splitting the "
+                                    f"solver resolves at b = {b:.6g} m") from None
             gap = 0.0
         if gap < delta:
+            even, odd = pair.levels
             cot2 = cot_squared(even.eps)
-            bound = 4.0 * well.kappa - 1.0
+            bound = 4.0 * pair.well.kappa - 1.0
             return GapSearchResult(b, gap, even.eps, odd.eps, cot2, bound,
                                    cot2 < bound, steps)
         b *= _GAP_GRID_RATIO

@@ -28,6 +28,9 @@ __all__ = [
     "barrier_bound",
     "to_dimensionless",
     "from_dimensionless",
+    "TABLE1_B_VALUES",
+    "TABLE1_K",
+    "TABLE1_WELL",
 ]
 
 
@@ -152,3 +155,15 @@ def from_dimensionless(well: ScaledWell) -> WellSpec:
         raise NonFiniteScaling("this ScaledWell carries no SI context")
     return WellSpec(a=well.a, b=well.lam * well.a, k=well.kappa * well.b_scale,
                     m=well.m, constants=well.constants)
+
+
+# Reference geometry for the splitting-vs-width table: a = 1 um, electron
+# mass, k = 2e-24 J.  The barrier height and the full-precision electron
+# mass are the calibrated values that actually reproduce the published
+# reference energies (see the discrepancy records the table1 command emits).
+TABLE1_B_VALUES = tuple(b * 1e-9 for b in
+                        (100.0, 116.65290, 136.07900, 158.74011,
+                         185.17494, 216.01195, 251.98421))
+TABLE1_K = 2e-24
+TABLE1_WELL = WellSpec(a=1e-6, b=TABLE1_B_VALUES[0], k=TABLE1_K,
+                       m=CODATA_CONSTANTS.m_e, constants=CODATA_CONSTANTS)

@@ -54,14 +54,15 @@ _GL_COARSE_PANELS = 4
 
 @dataclass(frozen=True)
 class PiecewiseEigenfunction:
-    """One normalized below-barrier eigenfunction on [-(a+b), a+b]."""
+    """One normalized below-barrier eigenfunction on [-(a+b), a+b]: its
+    right half, mirrored to the left and negated there when odd."""
 
     level: EnergyLevel
     a: float
     b: float
     alpha: float
     beta: float
-    amplitudes: tuple[float, float, float]  # (left valley, barrier, right valley)
+    amplitudes: tuple[float, float]  # (barrier, valley)
     hbar: float
     mass: float
 
@@ -69,40 +70,31 @@ class PiecewiseEigenfunction:
     def parity(self) -> str:
         return self.level.parity
 
-    def _regions(self, x):
-        """x as a float array, the wall position a + b, and the masks of the
-        left valley, the barrier and the right valley."""
+    def _evaluate(self, x, derivative: bool) -> np.ndarray:
+        """psi, or psi' if derivative, at x; zero outside the walls."""
         x = np.asarray(x, dtype=float)
-        edge = self.a + self.b
-        left = (x > -edge) & (x < -self.b)
-        barrier = np.abs(x) <= self.b
-        right = (x > self.b) & (x < edge)
-        return x, edge, left, barrier, right
+        r, edge = np.abs(x), self.a + self.b
+        barrier, valley = r <= self.b, (r > self.b) & (r < edge)
+        amp_b, amp_v = self.amplitudes
+        even = self.parity == "even"
+        out = np.zeros_like(x)
+        if derivative:
+            out[barrier] = amp_b * self.beta * (np.sinh if even else np.cosh)(self.beta * r[barrier])
+            out[valley] = -amp_v * self.alpha * np.cos(self.alpha * (edge - r[valley]))
+        else:
+            out[barrier] = amp_b * (np.cosh if even else np.sinh)(self.beta * r[barrier])
+            out[valley] = amp_v * np.sin(self.alpha * (edge - r[valley]))
+        if even == derivative:  # an odd function (psi odd, or psi' of an even psi)
+            left = (x < 0.0) & (barrier | valley)  # inside the walls: no -0.0
+            out[left] = -out[left]
+        return out
 
     def __call__(self, x) -> np.ndarray:
         """Evaluate pointwise; zero outside the walls."""
-        x, edge, left, barrier, right = self._regions(x)
-        amp_l, amp_b, amp_r = self.amplitudes
-        out = np.zeros_like(x)
-        out[left] = amp_l * np.sin(self.alpha * (x[left] + edge))
-        if self.parity == "even":
-            out[barrier] = amp_b * np.cosh(self.beta * x[barrier])
-        else:
-            out[barrier] = amp_b * np.sinh(self.beta * x[barrier])
-        out[right] = amp_r * np.sin(self.alpha * (edge - x[right]))
-        return out
+        return self._evaluate(x, False)
 
     def derivative(self, x) -> np.ndarray:
-        x, edge, left, barrier, right = self._regions(x)
-        amp_l, amp_b, amp_r = self.amplitudes
-        out = np.zeros_like(x)
-        out[left] = amp_l * self.alpha * np.cos(self.alpha * (x[left] + edge))
-        if self.parity == "even":
-            out[barrier] = amp_b * self.beta * np.sinh(self.beta * x[barrier])
-        else:
-            out[barrier] = amp_b * self.beta * np.cosh(self.beta * x[barrier])
-        out[right] = -amp_r * self.alpha * np.cos(self.alpha * (edge - x[right]))
-        return out
+        return self._evaluate(x, True)
 
 
 def build_eigenfunction(well: WellSpec, level: EnergyLevel) -> PiecewiseEigenfunction:
@@ -142,8 +134,7 @@ def build_eigenfunction(well: WellSpec, level: EnergyLevel) -> PiecewiseEigenfun
 
     norm = 1.0 / math.sqrt(norm_sq)
     amp = amp_raw * norm
-    return PiecewiseEigenfunction(level, a, b, alpha, beta,
-                                  (sign * amp, norm, amp), hbar, well.m)
+    return PiecewiseEigenfunction(level, a, b, alpha, beta, (norm, amp), hbar, well.m)
 
 
 def _int_sin_sq(p: float, a: float) -> float:
@@ -183,25 +174,23 @@ def _int_u_sinh(c: float, b: float) -> float:
 
 
 def position_matrix_element(f: PiecewiseEigenfunction, g: PiecewiseEigenfunction) -> float:
-    """<f| x |g> from exact piecewise antiderivatives."""
+    """<f| x |g> from exact piecewise antiderivatives; 0.0 at equal parity."""
     if not (f.a == g.a and f.b == g.b):
         raise ValueError("eigenfunctions live on different wells")
+    if f.parity == g.parity:
+        return 0.0
     a, b = f.a, f.b
-    fl, fb, fr = f.amplitudes
-    gl, gb, gr = g.amplitudes
+    (fb, fv), (gb, gv) = f.amplitudes, g.amplitudes
 
+    # the two valleys contribute equally: x f g is even
     iw1 = _int_sin_sin(f.alpha, g.alpha, a)
     iw2 = _int_u_sin_sin(f.alpha, g.alpha, a)
-    wells = (fr * gr - fl * gl) * ((a + b) * iw1 - iw2)
+    wells = 2.0 * (fv * gv) * ((a + b) * iw1 - iw2)
 
-    if f.parity == g.parity:
-        barrier = 0.0  # x * (even*even or odd*odd) is odd over [-b, b]
-    else:
-        # x cosh(p x) sinh(q x) is even; cosh sinh = [sinh((q+p)x) + sinh((q-p)x)]/2
-        p = f.beta if f.parity == "even" else g.beta
-        q = g.beta if f.parity == "even" else f.beta
-        coeff = fb * gb
-        barrier = coeff * (_int_u_sinh(q + p, b) + _int_u_sinh(q - p, b))
+    # x cosh(p x) sinh(q x) is even; cosh sinh = [sinh((q+p)x) + sinh((q-p)x)]/2
+    p = f.beta if f.parity == "even" else g.beta
+    q = g.beta if f.parity == "even" else f.beta
+    barrier = fb * gb * (_int_u_sinh(q + p, b) + _int_u_sinh(q - p, b))
     return wells + barrier
 
 

@@ -2,13 +2,13 @@ import pytest
 
 from dwell import (
     PAPER_CONSTANTS,
+    TABLE1_WELL,
     TwoLevelSystem,
     WellSpec,
     build_eigenfunction,
     solve_below_barrier,
     to_dimensionless,
 )
-from dwell.cli import TABLE1_WELL
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ import pytest
 from dwell import (
     CODATA_CONSTANTS,
     PAPER_CONSTANTS,
+    TABLE1_WELL,
     Basis,
     HarmonicDrive,
     LocalizedState,
@@ -38,7 +39,7 @@ from dwell import (
     to_dimensionless,
     verify_bounds,
 )
-from dwell.cli import TABLE1_WELL, table1_rows
+from dwell.cli import table1_rows
 from dwell.density import CompositeState
 from dwell.dynamics import (
     localized_drive_interaction,

@@ -11,8 +11,8 @@ import pytest
 
 import dwell.cli
 import dwell.grid_oracle
+from dwell import TABLE1_B_VALUES
 from dwell.cli import (
-    TABLE1_B_VALUES,
     _line_fit,
     main,
     parse_quantity,

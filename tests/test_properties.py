@@ -47,8 +47,7 @@ def _grid_block(n: int, even: bool):
     # one scaled parity block of the table-1 grid, with all its eigenvalues by stebz
     from scipy.linalg import eigh_tridiagonal
 
-    from dwell import build_grid_hamiltonian
-    from dwell.cli import TABLE1_WELL
+    from dwell import TABLE1_WELL, build_grid_hamiltonian
     from dwell.grid_oracle import _scaled_block
 
     diag, off, _, _ = _scaled_block(build_grid_hamiltonian(TABLE1_WELL, n), even)

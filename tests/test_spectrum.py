@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -205,6 +206,31 @@ def test_gap01_degenerate(deep_well):
         gap01(result)
 
 
+def test_shallow_well_without_odd_level_raises_bracket_failure_everywhere(
+        table_well, capsys, monkeypatch):
+    # kappa = 0.5, lambda = 0.1: the even level lies below the barrier, the
+    # odd one above it; every path to the lowest pair ends in gap01's raise
+    from dwell import TwoLevelSystem
+    from dwell.cli import main
+
+    shallow = WellSpec(table_well.a, 100e-9, 0.5 * table_well.barrier_bound, table_well.m,
+                       table_well.constants)
+    assert shallow.k == pytest.approx(3.0e-26, rel=0.01)
+    pair = spectrum.lowest_pair(to_dimensionless(shallow))
+    assert [level.index for level in pair.levels] == [0]
+    with pytest.raises(BracketFailure, match="no odd level below the barrier"):
+        gap01(pair)
+    with pytest.raises(BracketFailure, match="no odd level below the barrier"):
+        TwoLevelSystem.from_well(shallow)
+    (row,) = gap_sweep(shallow, [100e-9])
+    assert row.error.startswith("BracketFailure: ")
+
+    monkeypatch.delenv("DWELL_CONSTANTS", raising=False)
+    assert main(["dynamics", "--k", "3e-26J", "--format", "json"]) == 1
+    (record,) = json.loads(capsys.readouterr().out)["records"]
+    assert record["error_class"] == "BracketFailure"
+
+
 def test_gap_sweep_rows(table_well):
     b_values = [1e-7, 1.3e-7, 1.7e-7, 2.2e-7]
     rows = gap_sweep(table_well, b_values)
@@ -220,7 +246,7 @@ def test_gap_sweep_rows(table_well):
 
 
 def test_gap_sweep_log_convex_on_reference_rows(table_well):
-    from dwell.cli import TABLE1_B_VALUES
+    from dwell import TABLE1_B_VALUES
 
     rows = gap_sweep(table_well, list(TABLE1_B_VALUES))
     gaps = [r.delta_e for r in rows]
@@ -275,8 +301,9 @@ def test_find_b_already_satisfied(table_well):
 
 
 def test_find_b_not_reached(table_well):
+    # the walk starts past its cap of b = 100 a
     with pytest.raises(NotReached):
-        find_b_for_gap(1e-80, table_well, cap_factor=0.3)
+        find_b_for_gap(1e-80, table_well.with_b(100.5 * table_well.a))
 
 
 def test_find_b_requires_deep_regime(table_well):
