@@ -19,12 +19,12 @@ _EXPORTS = {name: module for module, names in {
                     "eigenvector", "lowest_eigenvalues"),
     "spectrum": ("BoundReport", "EnergyLevel", "Gap01", "GapSearchResult", "SpectrumResult",
                  "SweepRow", "condition_functions", "find_b_for_gap", "gap01", "gap_sweep",
-                 "lowest_pair", "solve_below_barrier", "solve_pair", "verify_bounds"),
+                 "solve_below_barrier", "verify_bounds"),
     "thermal": ("ThermalLimit", "global_temperature_bound", "temperature_limit",
                 "thermal_report", "wien_peak_frequency"),
     "units": ("CODATA_CONSTANTS", "PAPER_CONSTANTS", "PhysicalConstants", "ScaledWell",
               "TABLE1_B_VALUES", "TABLE1_WELL", "WellSpec", "barrier_bound",
-              "constants_from_env", "from_dimensionless", "to_dimensionless"),
+              "constants_from_env", "to_dimensionless"),
     "wavefunction": ("LocalizedState", "PiecewiseEigenfunction", "build_eigenfunction",
                      "count_nodes", "dipole_matrix_element", "localized_state_value",
                      "position_matrix_element"),

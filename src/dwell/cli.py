@@ -39,7 +39,7 @@ from pathlib import Path
 
 from . import thermal as thermal_mod
 from .errors import AmbiguousPurity, ConfigError, DwellError
-from .spectrum import find_b_for_gap, gap_sweep, solve_below_barrier
+from .spectrum import SpectrumResult, find_b_for_gap, gap_sweep, solve_below_barrier
 from .units import (CODATA_CONSTANTS, TABLE1_B_VALUES, TABLE1_K, TABLE1_WELL, PhysicalConstants,
                     WellSpec, constants_from_env, to_dimensionless)
 
@@ -231,15 +231,22 @@ def emit(report: Report, cfg: RunConfig) -> int:
 # already written
 
 
+def _every_level(spec: WellSpec, report: Report) -> SpectrumResult | None:
+    """Every level of the well, or None after a "no level below the barrier" warning."""
+    if spec.has_bound_pair:
+        return solve_below_barrier(to_dimensionless(spec))
+    report.records.append({"type": "warning",
+                           "message": f"k = {spec.k:.9g} J <= B/4 = {spec.barrier_bound / 4:.9g} J: "
+                                      "no level below the barrier"})
+    return None
+
+
 def cmd_spectrum(cfg: RunConfig, report: Report) -> None:
     spec = cfg.well()
     report.columns = ["index", "parity", "energy_J", "eps", "residual"]
-    if not spec.has_bound_pair:
-        report.records.append({"type": "warning",
-                               "message": f"k = {spec.k:.9g} J <= B/4 = {spec.barrier_bound / 4:.9g} J: "
-                                          "no level below the barrier"})
+    result = _every_level(spec, report)
+    if result is None:
         return
-    result = solve_below_barrier(to_dimensionless(spec))
     diag = {d.index: d for d in result.solver_report}
     rows = [[level.index, level.parity, level.energy, level.eps,
              diag[level.index].residual] for level in result.levels]
@@ -254,7 +261,7 @@ def _grid_check(spec: WellSpec, levels, n: int) -> list[tuple[float, float]]:
     """(grid energy, relative difference) of each level on an n-cell grid."""
     from .grid_oracle import build_grid_hamiltonian, lowest_eigenvalues
 
-    grid = lowest_eigenvalues(build_grid_hamiltonian(spec, n), max(len(levels), 1))
+    grid = lowest_eigenvalues(build_grid_hamiltonian(spec, n), len(levels))
     return [(float(e), abs(float(e) / level.energy - 1.0)) for level, e in zip(levels, grid)]
 
 
@@ -346,7 +353,7 @@ def cmd_thermal(cfg: RunConfig, report: Report) -> None:
     t_bound = thermal_mod.global_temperature_bound(spec.a, spec.m, spec.constants)
     # T_B is defined without the spectrum: its row stands even when the solve fails
     report.rows = [[t_bound, math.nan, math.nan, math.nan]]
-    levels = {lv.index: lv for lv in solve_below_barrier(to_dimensionless(spec)).levels}
+    levels = {lv.index: lv for lv in solve_below_barrier(to_dimensionless(spec), 2).levels}
     if 1 in levels and 2 in levels:
         gap12 = levels[2].energy - levels[1].energy
         t_max = thermal_mod.temperature_limit(gap12, spec.constants)
@@ -394,7 +401,9 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> None:
     spec = cfg.well()
     report.columns = ["index", "parity", "energy_solver_J", "energy_grid_J", "rel_diff",
                       "within_tol"]
-    result = solve_below_barrier(to_dimensionless(spec))
+    result = _every_level(spec, report)
+    if result is None:
+        return
     tol = 1e-4
     for level, (grid_e, rel) in zip(result.levels,
                                     _grid_check(spec, result.levels, cfg.grid_n)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Basis, TwoByTwoOperator
+from .dynamics import Basis, TwoByTwoOperator, _frozen_2x2
 from .errors import AmbiguousPurity, BasisMismatch
 
 __all__ = [
@@ -41,14 +41,9 @@ class CompositeState:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (2, 2):
-            raise ValueError(f"need a 2x2 coefficient matrix, got {c.shape}")
-        norm = float(np.sum(np.abs(c) ** 2))
+        norm = float(np.sum(np.abs(_frozen_2x2(self, "coeffs")) ** 2))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state is not normalized: sum |c|^2 = {norm!r}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[str, str], complex]) -> "CompositeState":

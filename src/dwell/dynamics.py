@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResonantDenominator
-from .spectrum import gap01, lowest_pair
+from .spectrum import gap01, solve_below_barrier
 from .units import WellSpec, to_dimensionless
 
 __all__ = [
@@ -50,17 +50,23 @@ class Basis(enum.Enum):
 BASIS_CHANGE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
+def _frozen_2x2(obj, name: str) -> np.ndarray:
+    """Store field `name` of frozen dataclass obj as a read-only complex 2x2 array."""
+    m = np.asarray(getattr(obj, name), dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"need a 2x2 matrix, got shape {m.shape}")
+    m.setflags(write=False)
+    object.__setattr__(obj, name, m)
+    return m
+
+
 @dataclass(frozen=True)
 class TwoByTwoOperator:
     matrix: np.ndarray
     basis: Basis
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"need a 2x2 matrix, got shape {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _frozen_2x2(self, "matrix")
 
     def rotated(self) -> "TwoByTwoOperator":
         """Conjugate by the basis-change unitary, flipping the tag; same type."""
@@ -104,7 +110,7 @@ class TwoLevelSystem:
         """Solve the well and assemble the system from its lowest pair."""
         from .wavefunction import build_eigenfunction, dipole_matrix_element
 
-        result = lowest_pair(to_dimensionless(spec))
+        result = solve_below_barrier(to_dimensionless(spec), 1)
         gap01(result)  # the one check of the lowest pair
         level0, level1 = result.levels
         psi0 = build_eigenfunction(spec, level0)

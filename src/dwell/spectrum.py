@@ -32,6 +32,8 @@ A pair whose even/odd splitting float64 cannot resolve is flagged by
 LevelDiagnostics.degenerate_pair, set once per pair by the solver; that
 flag is the one definition of a degenerate pair.  gap01, the one check of
 the lowest pair, reads it for gap_sweep, find_b_for_gap and from_well.
+They solve pair 0 alone: solve_below_barrier, the one solve entry, takes a
+pair count, so a pair its caller does not read is never solved.
 """
 
 from __future__ import annotations
@@ -62,9 +64,7 @@ __all__ = [
     "GapSearchResult",
     "condition_functions",
     "cot_squared",
-    "solve_pair",
     "solve_below_barrier",
-    "lowest_pair",
     "verify_bounds",
     "gap01",
     "gap_sweep",
@@ -393,8 +393,6 @@ def _solve_pair_diagnosed(
 ) -> tuple[EnergyLevel, LevelDiagnostics, EnergyLevel | None, LevelDiagnostics | None]:
     kappa, lam = well.kappa, well.lam
     lo, hi, capped = _pair_bracket(n, kappa)
-    if lo >= hi:
-        raise ValueError(f"pair {n} requires (n+1/2)^2 < kappa, got kappa={kappa}")
     scale = well.b_scale
 
     even_hi = _upper_eval_point(lo, hi, capped, kappa, lam, "even")
@@ -422,14 +420,10 @@ def _solve_pair_diagnosed(
     return even, even_diag, odd, odd_diag
 
 
-def solve_pair(n: int, well: ScaledWell) -> tuple[EnergyLevel, EnergyLevel | None]:
-    """Solve pair n: the even level (always present when (n+1/2)^2 < kappa)
-    and the odd level, or None when it lies above the barrier."""
-    even, _, odd, _ = _solve_pair_diagnosed(n, well)
-    return even, odd
-
-
-def _solve_pairs(well: ScaledWell, pairs: float) -> SpectrumResult:
+def solve_below_barrier(well: ScaledWell, pairs: float = math.inf) -> SpectrumResult:
+    """Solve the first `pairs` pairs (default all) with (n+1/2)^2 < kappa;
+    empty when kappa <= 1/4.  A pair's levels depend only on n and the well,
+    so they are bit-equal whatever the count."""
     levels: list[EnergyLevel] = []
     report: list[LevelDiagnostics] = []
     n = 0
@@ -446,18 +440,6 @@ def _solve_pairs(well: ScaledWell, pairs: float) -> SpectrumResult:
             report.append(odd_diag)
         n += 1
     return SpectrumResult(tuple(levels), well, tuple(report))
-
-
-def solve_below_barrier(well: ScaledWell) -> SpectrumResult:
-    """Solve every pair n with (n+1/2)^2 < kappa; empty result when
-    kappa <= 1/4 (no level fits below the barrier)."""
-    return _solve_pairs(well, math.inf)
-
-
-def lowest_pair(well: ScaledWell) -> SpectrumResult:
-    """Solve pair 0 alone: levels 0 and 1, level 0 only when the odd level
-    lies above the barrier, none when kappa <= 1/4."""
-    return _solve_pairs(well, 1)
 
 
 @dataclass(frozen=True)
@@ -583,7 +565,7 @@ def gap_sweep(template: WellSpec, b_values: list[float]) -> tuple[SweepRow, ...]
     rows: list[SweepRow] = []
     for b in b_values:
         try:
-            result = lowest_pair(to_dimensionless(template.with_b(b)))
+            result = solve_below_barrier(to_dimensionless(template.with_b(b)), 1)
             gap = gap01(result)
             e0, e1 = result.levels
             rows.append(SweepRow(b, e0.energy, e1.energy, gap.delta_e, gap.tau))
@@ -620,7 +602,7 @@ def find_b_for_gap(delta: float, template: WellSpec) -> GapSearchResult:
     b = template.b
     steps = 0
     while b <= cap:
-        pair = lowest_pair(to_dimensionless(template.with_b(b)))
+        pair = solve_below_barrier(to_dimensionless(template.with_b(b)), 1)
         try:
             gap = gap01(pair).delta_e
         except DegenerateGap:

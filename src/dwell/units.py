@@ -27,7 +27,6 @@ __all__ = [
     "ScaledWell",
     "barrier_bound",
     "to_dimensionless",
-    "from_dimensionless",
     "TABLE1_B_VALUES",
     "TABLE1_K",
     "TABLE1_WELL",
@@ -123,7 +122,7 @@ def barrier_bound(spec: WellSpec) -> float:
 @dataclass(frozen=True)
 class ScaledWell:
     """Dimensionless well (kappa = k/B, lam = b/a) plus the SI context
-    (b_scale = B in J, valley width a, mass m) needed to map back."""
+    (b_scale = B in J, valley width a, mass m) that gives results in SI units."""
 
     kappa: float
     lam: float
@@ -140,21 +139,13 @@ class ScaledWell:
 
 
 def to_dimensionless(spec: WellSpec) -> ScaledWell:
-    """Rescale a WellSpec to (kappa, lambda); inverse of from_dimensionless."""
+    """Rescale a WellSpec to (kappa, lambda), keeping its SI context."""
     b_scale = barrier_bound(spec)
     kappa = spec.k / b_scale if b_scale > 0.0 else math.inf
     if not math.isfinite(kappa):
         raise NonFiniteScaling(f"k/B = {spec.k}/{b_scale} is not finite")
     return ScaledWell(kappa=kappa, lam=spec.b / spec.a, b_scale=b_scale,
                       a=spec.a, m=spec.m, constants=spec.constants)
-
-
-def from_dimensionless(well: ScaledWell) -> WellSpec:
-    """Reconstruct the SI WellSpec carried by a ScaledWell."""
-    if not (math.isfinite(well.a) and math.isfinite(well.m)):
-        raise NonFiniteScaling("this ScaledWell carries no SI context")
-    return WellSpec(a=well.a, b=well.lam * well.a, k=well.kappa * well.b_scale,
-                    m=well.m, constants=well.constants)
 
 
 # Reference geometry for the splitting-vs-width table: a = 1 um, electron

@@ -35,7 +35,6 @@ from dwell import (
     reduce_state,
     reference_states,
     solve_below_barrier,
-    solve_pair,
     to_dimensionless,
     verify_bounds,
 )
@@ -127,7 +126,7 @@ def test_criterion_3_bound_suite():
     lemma_ok = True
     for delta in (1e-28, 1e-29, 1e-30):
         found = find_b_for_gap(delta, TABLE1_WELL)
-        even, odd = solve_pair(0, to_dimensionless(TABLE1_WELL.with_b(found.b)))
+        even, odd = solve_below_barrier(to_dimensionless(TABLE1_WELL.with_b(found.b)), 1).levels
         lemma_ok &= (odd.energy - even.energy < delta) and found.certified
 
     ok = wells >= 50 and not violations and lemma_ok
@@ -153,7 +152,7 @@ def test_criterion_4_oracle_equivalence():
             worst = max(worst, abs(float(grid_e) / level.energy - 1.0))
 
     n1 = aligned_size(TABLE1_WELL, 5000)
-    e_ref = solve_pair(0, to_dimensionless(TABLE1_WELL))[0].energy
+    e_ref = solve_below_barrier(to_dimensionless(TABLE1_WELL), 1).levels[0].energy
     errs = [abs(float(lowest_eigenvalues(build_grid_hamiltonian(TABLE1_WELL, n), 1)[0])
                 / e_ref - 1.0) for n in (n1, 2 * n1)]
     order = math.log2(errs[0] / errs[1])

@@ -11,7 +11,8 @@ import pytest
 
 import dwell.cli
 import dwell.grid_oracle
-from dwell import TABLE1_B_VALUES
+import dwell.spectrum
+from dwell import PAPER_CONSTANTS, TABLE1_B_VALUES, WellSpec, solve_below_barrier, to_dimensionless
 from dwell.cli import (
     _line_fit,
     main,
@@ -264,6 +265,21 @@ def test_oracle_check(capsys):
     assert all(r[-1] == "true" for r in rows)
 
 
+def _no_grid(*_):
+    raise AssertionError("a grid was built")
+
+
+def test_oracle_check_without_a_level_warns_and_builds_no_grid(capsys, monkeypatch):
+    monkeypatch.setattr(dwell.grid_oracle, "build_grid_hamiltonian", _no_grid)
+    code, out = run_cli(["oracle-check", "--k", "1e-27", "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["rows"] == []
+    (warning,) = payload["records"]
+    assert main(["spectrum", "--k", "1e-27", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["records"] == [warning]
+
+
 def test_degenerate_well_reports_cleanly(capsys):
     # an opaque barrier leaves no resolvable splitting: error record, exit 1
     code = main(["dynamics", "--b", "3um"])
@@ -348,6 +364,37 @@ def test_thermal_keeps_t_bound_when_the_solver_fails(capsys, monkeypatch):
     assert out == ("t_bound_K,e2_minus_e1_J,t_max_K,t_max_over_t_bound\n"
                    "0.00109970998,nan,nan,nan\n"
                    "# error: injected failure\n")
+
+
+def test_thermal_reads_pairs_0_and_1_of_a_well_whose_pair_438_fails(capsys, monkeypatch):
+    # the spectrum-deep seed-22 well, whose pair 438 the solver inverts
+    monkeypatch.delenv("DWELL_CONSTANTS", raising=False)
+    a, b, k = 1e-6, 1.4441382492667404e-08, 1.5004548177875203e-20
+    well = to_dimensionless(WellSpec(a, b, k, PAPER_CONSTANTS.m_e))
+    assert (well.kappa, well.lam) == (248795.34095324992, 0.014441382492667404)
+    code, out = run_cli(["thermal", "--a", repr(a), "--b", repr(b), "--k", f"{k!r}J",
+                         "--format", "json"], capsys)
+    assert code == 0
+    levels = solve_below_barrier(well, 2).levels
+    (row,) = json.loads(out)["rows"]
+    assert row[1] == levels[2].energy - levels[1].energy
+
+
+def test_thermal_on_a_very_deep_well_solves_only_pairs_0_and_1(capsys, monkeypatch):
+    # kappa = 9.1e15: about 9.5e7 pairs lie below the barrier
+    solve = dwell.spectrum._solve_pair_diagnosed
+    solved = []
+
+    def counting(n, well):
+        solved.append(n)
+        if n > 1:
+            raise ConvergenceFailure(f"thermal solved pair {n}")
+        return solve(n, well)
+
+    monkeypatch.setattr(dwell.spectrum, "_solve_pair_diagnosed", counting)
+    code, _ = run_cli(["thermal", "--k", "5.49e-10J"], capsys)
+    assert code == 0
+    assert solved == [0, 1]
 
 
 def test_invalid_well_parameter_reports_cleanly(capsys):

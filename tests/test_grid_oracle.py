@@ -171,10 +171,10 @@ def test_parity_blocks_match_full_grid(table_well, n):
 def test_grid_splitting_at_300nm(table_well):
     # the grid splitting is a difference of two eigenvalues 1e-4 apart, so
     # an eps ||H|| error in each (4e-3 of the splitting at n = 1.6e5) ruins it
-    from dwell import lowest_pair, to_dimensionless
+    from dwell import solve_below_barrier, to_dimensionless
 
     spec = _with_b(table_well, 300e-9)
-    pair = lowest_pair(to_dimensionless(spec)).levels
+    pair = solve_below_barrier(to_dimensionless(spec), 1).levels
     e0, e1 = lowest_eigenvalues(build_grid_hamiltonian(spec, 160_000), 2)
     assert abs((e1 - e0) / (pair[1].energy - pair[0].energy) - 1.0) <= 1e-6
 

@@ -1,9 +1,13 @@
 """Property tests.  Over the whole (kappa, lambda) domain every well either
 solves to a spectrum that meets every guaranteed bound, or raises a
 DwellError; no other exception escapes.  The grid oracle's cyclic-reduction
-inertia counts the eigenvalues below any shift as stebz does."""
+inertia counts the eigenvalues below any shift as stebz does.  Every CLI
+command ends in one of its exit channels, and repeats itself byte for byte."""
 
+import contextlib
 import functools
+import io
+import json
 import math
 
 import numpy as np
@@ -13,7 +17,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dwell import ScaledWell, SpectrumResult, solve_below_barrier, verify_bounds  # noqa: E402
+from dwell import (  # noqa: E402
+    ScaledWell,
+    SpectrumResult,
+    WellSpec,
+    solve_below_barrier,
+    verify_bounds,
+)
+from dwell.cli import _COMMANDS, main  # noqa: E402
 from dwell.errors import DwellError  # noqa: E402
 
 
@@ -68,3 +79,39 @@ def test_cyclic_reduction_inertia_matches_stebz(n, even, p):
     assume(np.min(np.abs(eigenvalues - shift)) > 1e-9 * eigenvalues[-1])
     below = int(np.searchsorted(eigenvalues, shift))
     assert _cyclic_reduction(diag - shift, off, keep=False)[1] == below
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda p: 10.0 ** p)
+
+
+def _run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(_COMMANDS)), a=_log_uniform(-10.0, -3.0),
+       b=_log_uniform(-11.0, -4.0), k=_log_uniform(-30.0, -16.0), m=_log_uniform(-31.0, -24.0),
+       grid_n=st.integers(1, 3000), t_steps=st.integers(1, 50), oracle=st.booleans(),
+       fmt=st.sampled_from(["csv", "json"]))
+def test_every_command_ends_in_an_exit_channel_and_repeats_itself(
+        command, a, b, k, m, grid_n, t_steps, oracle, fmt):
+    # kappa <= 1e6 bounds the work of the commands that solve every level
+    assume(k <= 1e6 * WellSpec(a, b, k, m).barrier_bound)
+    argv = [command, "--a", repr(a), "--b", repr(b), "--k", repr(k), "--m", repr(m),
+            "--grid-n", str(grid_n), "--t-steps", str(t_steps), "--format", fmt]
+    argv += ["--oracle"] if oracle else []
+    code, out, err = _run_main(argv)
+    assert code in (0, 1, 2)
+    if out and fmt == "json":
+        has_error_record = any(r["type"] == "error" for r in json.loads(out)["records"])
+    else:
+        has_error_record = "\n# error: " in out
+    if code == 1:
+        assert (out and has_error_record and not err) or (
+            not out and err.startswith("error: ") and err.count("\n") == 1
+            and err.endswith("\n"))
+    assert _run_main(argv) == (code, out, err)

@@ -13,7 +13,6 @@ from dwell import (
     gap01,
     gap_sweep,
     solve_below_barrier,
-    solve_pair,
     to_dimensionless,
     verify_bounds,
 )
@@ -74,7 +73,7 @@ def test_condition_functions_domain():
 
 
 def test_solve_pair_reference_row(table_well):
-    even, odd = solve_pair(0, to_dimensionless(table_well))
+    even, odd = solve_below_barrier(to_dimensionless(table_well), 1).levels
     assert even.eps == pytest.approx(EPS0_TABLE, abs=1e-11)
     assert odd.eps == pytest.approx(EPS1_TABLE, abs=1e-11)
     assert even.energy == pytest.approx(E0_REPORTED, rel=1e-4)
@@ -85,16 +84,16 @@ def test_solve_pair_reference_row(table_well):
 
 def test_solve_pair_deeper_reference_rows(table_well):
     # frozen 50-digit values at b = 158.74011 nm and 251.98421 nm
-    even, odd = solve_pair(0, to_dimensionless(table_well.with_b(158.74011e-9)))
+    even, odd = solve_below_barrier(to_dimensionless(table_well.with_b(158.74011e-9)), 1).levels
     assert even.eps == pytest.approx(0.896963009389, abs=1e-11)
     assert odd.eps == pytest.approx(0.898242662559, abs=1e-11)
-    even, odd = solve_pair(0, to_dimensionless(table_well.with_b(251.98421e-9)))
+    even, odd = solve_below_barrier(to_dimensionless(table_well.with_b(251.98421e-9)), 1).levels
     assert even.eps == pytest.approx(0.897581642897, abs=1e-11)
     assert odd.eps == pytest.approx(0.897627461785, abs=1e-11)
 
 
 def test_solve_pair_second_pair_reference(table_well):
-    even, odd = solve_pair(1, to_dimensionless(table_well))
+    even, odd = solve_below_barrier(to_dimensionless(table_well), 2).levels[2:]
     assert even.eps == pytest.approx(3.56141116171, abs=1e-10)
     assert even.index == 2 and odd.index == 3
     assert 2.25 < even.eps < odd.eps < 4.0
@@ -104,12 +103,12 @@ def test_solve_pair_even_below_odd():
     for kappa, lam in [(33.2, 0.1), (12.0, 0.3), (60.0, 0.05)]:
         from dwell import ScaledWell
 
-        even, odd = solve_pair(0, ScaledWell(kappa, lam))
+        even, odd = solve_below_barrier(ScaledWell(kappa, lam), 1).levels
         assert even.eps < odd.eps
 
 
 def test_solve_pair_near_coalescence(deep_well):
-    even, odd = solve_pair(0, to_dimensionless(deep_well))
+    even, odd = solve_below_barrier(to_dimensionless(deep_well), 1).levels
     assert even.eps == pytest.approx(EPS0_FORTY, abs=1e-12)
     assert odd.eps >= even.eps
     assert odd.eps == pytest.approx(EPS0_FORTY, abs=1e-11)
@@ -216,7 +215,7 @@ def test_shallow_well_without_odd_level_raises_bracket_failure_everywhere(
     shallow = WellSpec(table_well.a, 100e-9, 0.5 * table_well.barrier_bound, table_well.m,
                        table_well.constants)
     assert shallow.k == pytest.approx(3.0e-26, rel=0.01)
-    pair = spectrum.lowest_pair(to_dimensionless(shallow))
+    pair = solve_below_barrier(to_dimensionless(shallow), 1)
     assert [level.index for level in pair.levels] == [0]
     with pytest.raises(BracketFailure, match="no odd level below the barrier"):
         gap01(pair)
@@ -285,7 +284,7 @@ def test_find_b_for_gap(table_well, delta):
     assert found.certified
     assert found.cot2 < found.cot2_bound
     # re-solve at the returned width and confirm
-    even, odd = solve_pair(0, to_dimensionless(table_well.with_b(found.b)))
+    even, odd = solve_below_barrier(to_dimensionless(table_well.with_b(found.b)), 1).levels
     assert odd.energy - even.energy < delta
 
 
@@ -319,15 +318,6 @@ def test_cot_squared_monotone_on_band():
     w = eps * v
     assert np.all(np.diff(v) > 0)
     assert np.all(np.diff(w) > 0)
-
-
-def test_solver_error_carries_pair_index():
-    # a pole-adjacent narrow bracket cannot fail here, so force a failure by
-    # exercising the guard on an impossible pair request
-    from dwell import ScaledWell
-
-    with pytest.raises(ValueError):
-        solve_pair(3, ScaledWell(5.0, 0.5))
 
 
 def test_solver_error_pair_index_names_failed_pair(table_well, monkeypatch):
@@ -432,7 +422,7 @@ def test_inverted_resolvable_pair_raises_convergence_failure():
     # the even level, although the pair is far from degenerate
     well = ScaledWell(248795.34095324992, 0.014441382492667404)
     with pytest.raises(ConvergenceFailure, match="not above even level") as info:
-        solve_pair(438, well)
+        spectrum._solve_pair_diagnosed(438, well)
     assert info.value.pair_index == 438
     with pytest.raises(ConvergenceFailure) as info:
         solve_below_barrier(well)

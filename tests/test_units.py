@@ -9,7 +9,6 @@ from dwell import (
     WellSpec,
     barrier_bound,
     constants_from_env,
-    from_dimensionless,
     to_dimensionless,
 )
 from dwell.errors import NonFiniteScaling
@@ -65,25 +64,6 @@ def test_to_dimensionless_forty_b():
     scaled = to_dimensionless(WellSpec(1e-6, 8e-7, k40, 9.1e-31))
     assert scaled.kappa == pytest.approx(40.0, rel=1e-15)
     assert scaled.lam == pytest.approx(0.8, rel=1e-15)
-
-
-@pytest.mark.parametrize("a,b,k,m", [
-    (1e-6, 1e-7, 2e-24, 9.1e-31),
-    (3.3e-7, 2.5e-7, 7e-23, 9.1093837015e-31),
-    (2e-5, 1.7e-6, 1e-26, 1.7e-27),
-])
-def test_round_trip(a, b, k, m):
-    spec = WellSpec(a, b, k, m)
-    back = from_dimensionless(to_dimensionless(spec))
-    for name in ("a", "b", "k", "m"):
-        assert getattr(back, name) == pytest.approx(getattr(spec, name), rel=1e-15)
-
-
-def test_round_trip_requires_context():
-    from dwell import ScaledWell
-
-    with pytest.raises(NonFiniteScaling):
-        from_dimensionless(ScaledWell(kappa=10.0, lam=0.5))
 
 
 def test_overflowing_scale_is_reported():

@@ -15,7 +15,6 @@ from dwell import (
     eigenvector,
     localized_state_value,
     lowest_eigenvalues,
-    lowest_pair,
     position_matrix_element,
     solve_below_barrier,
     to_dimensionless,
@@ -128,7 +127,7 @@ def test_dipole_matches_grid_quadrature(table_well, table_pair):
 def _rule_against_analytic(well):
     """Relative distance of the Gauss-Legendre rule from the analytic dipole
     element of pair 0, scaled as in the dipole check."""
-    level0, level1 = lowest_pair(to_dimensionless(well)).levels
+    level0, level1 = solve_below_barrier(to_dimensionless(well), 1).levels
     psi0, psi1 = build_eigenfunction(well, level0), build_eigenfunction(well, level1)
     d = position_matrix_element(psi0, psi1)
     d_num, _ = _quad_position(psi0, psi1)
@@ -326,7 +325,7 @@ def test_amplitude_overflow_is_a_match_failure(table_well):
     lam = 349.0 / (1000.0 * math.pi)
     well = WellSpec(a=table_well.a, b=lam * table_well.a, k=1e6 * table_well.barrier_bound,
                     m=table_well.m)
-    result = lowest_pair(to_dimensionless(well))
+    result = solve_below_barrier(to_dimensionless(well), 1)
     assert len(result.levels) == 2
     for level in result.levels:
         with pytest.raises(MatchFailure, match="overflows its square"):
