@@ -4,8 +4,10 @@ cross-check for every spectral result.
 
 The names below are exported lazily (PEP 562): `import dwell` loads no
 submodule, and `dwell.X` or `from dwell import X` imports X's submodule
-on first use.  So code that needs only the pure-`math` spectrum never
-pays for numpy."""
+on first use.  The spectrum, the eigenfunctions and their dipole
+element, TwoLevelSystem.from_well and the closed-form traces at a Python
+number run on `math`, so code that needs only those never pays for
+numpy."""
 
 import importlib
 

@@ -21,10 +21,12 @@ Exit codes, one per channel:
      path), or an argparse usage error.
 
 Each command imports what it computes with: the module loads only the
-pure-`math` spectrum, thermal and unit code, so `spectrum`, `table1`,
-`thermal` and `gap-sweep` never load numpy; `dynamics`, `rabi`, `density`
-and the grid oracle import numpy when they run, the only third-party
-package any command loads.
+pure-`math` spectrum, thermal and unit code, and `spectrum`, `table1`,
+`thermal`, `gap-sweep`, `dynamics` and `rabi` never load numpy (the last
+two take the lowest pair, its dipole check and one closed-form call per
+time sample on `math`).  `density` and the grid oracle import numpy when
+they run, the only third-party package any command loads; the grid
+checks reject a level count the grid cannot check before they solve.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from pathlib import Path
 
 from . import thermal as thermal_mod
 from .errors import AmbiguousPurity, ConfigError, DwellError
-from .spectrum import SpectrumResult, find_b_for_gap, gap_sweep, solve_below_barrier
+from .spectrum import (SpectrumResult, find_b_for_gap, gap_sweep, level_count,
+                       solve_below_barrier)
 from .units import (CODATA_CONSTANTS, TABLE1_B_VALUES, TABLE1_K, TABLE1_WELL, PhysicalConstants,
                     WellSpec, constants_from_env, to_dimensionless)
 
@@ -231,20 +234,28 @@ def emit(report: Report, cfg: RunConfig) -> int:
 # already written
 
 
-def _every_level(spec: WellSpec, report: Report) -> SpectrumResult | None:
-    """Every level of the well, or None after a "no level below the barrier" warning."""
-    if spec.has_bound_pair:
-        return solve_below_barrier(to_dimensionless(spec))
-    report.records.append({"type": "warning",
-                           "message": f"k = {spec.k:.9g} J <= B/4 = {spec.barrier_bound / 4:.9g} J: "
-                                      "no level below the barrier"})
-    return None
+def _every_level(spec: WellSpec, report: Report, grid_n: int | None = None
+                 ) -> SpectrumResult | None:
+    """Every level of the well, or None after a "no level below the barrier"
+    warning.  With grid_n, the levels are for a check on an n-cell grid,
+    whose parameters and level count are checked before the solve."""
+    if not spec.has_bound_pair:
+        report.records.append({"type": "warning",
+                               "message": f"k = {spec.k:.9g} J <= B/4 = {spec.barrier_bound / 4:.9g} J: "
+                                          "no level below the barrier"})
+        return None
+    well = to_dimensionless(spec)
+    if grid_n is not None:
+        from .grid_oracle import check_request
+
+        check_request(spec, grid_n, level_count(well))
+    return solve_below_barrier(well)
 
 
 def cmd_spectrum(cfg: RunConfig, report: Report) -> None:
     spec = cfg.well()
     report.columns = ["index", "parity", "energy_J", "eps", "residual"]
-    result = _every_level(spec, report)
+    result = _every_level(spec, report, cfg.grid_n if cfg.oracle else None)
     if result is None:
         return
     diag = {d.index: d for d in result.solver_report}
@@ -305,15 +316,23 @@ def cmd_table1(cfg: RunConfig, report: Report) -> None:
     ]
 
 
-def _time_samples(t_max: float, t_steps: int):
-    """t_steps equally spaced times on [0, t_max]; a count too large to
-    allocate is an invalid parameter, not a crash."""
-    import numpy as np
-
+def _time_samples(t_max: float, t_steps: int) -> list[float]:
+    """t_steps equally spaced times on [0, t_max], bit-equal to
+    numpy.linspace(0.0, t_max, t_steps): i * step, the last one t_max.  A
+    count too large to allocate is an invalid parameter, not a crash."""
     try:
-        return np.linspace(0.0, t_max, t_steps)
+        times = [0.0] * t_steps
     except MemoryError:
         raise ValueError(f"cannot allocate {t_steps} time samples") from None
+    div = max(t_steps - 1, 1)
+    step = t_max / div
+    for i in range(t_steps):
+        # linspace scales i/div by t_max where the step underflows to 0, and
+        # adds the start 0.0, which turns a -0.0 into 0.0
+        times[i] = (i * step if step else i / div * t_max) + 0.0
+    if t_steps > 1:
+        times[-1] = t_max
+    return times
 
 
 def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
@@ -323,11 +342,9 @@ def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
     sys_ = TwoLevelSystem.from_well(cfg.well())
     period = 2.0 * math.pi / sys_.omega
     t_max = cfg.t_max if cfg.t_max is not None else period
-    times = _time_samples(t_max, cfg.t_steps)
-    p_l, p_r = flip_flop(sys_, math.pi / 2.0, times)  # prepared on the L side
-    x = x_expectation(sys_, "L", times)
-    report.rows = [[float(t), float(pl), float(pr), float(xv)]
-                   for t, pl, pr, xv in zip(times, p_l, p_r, x)]
+    for t in _time_samples(t_max, cfg.t_steps):
+        p_l, p_r = flip_flop(sys_, math.pi / 2.0, t)  # prepared on the L side
+        report.rows.append([t, p_l, p_r, x_expectation(sys_, "L", t)])
 
 
 def cmd_rabi(cfg: RunConfig, report: Report) -> None:
@@ -340,11 +357,9 @@ def cmd_rabi(cfg: RunConfig, report: Report) -> None:
     drive = HarmonicDrive(amp, omega_prime)
     r0 = math.hypot(amp / sys_.hbar, (omega_prime - sys_.omega) / 2.0)
     t_max = cfg.t_max if cfg.t_max is not None else (2.0 * math.pi / r0 if r0 > 0 else 1.0)
-    times = _time_samples(t_max, cfg.t_steps)
-    p0, p1 = rabi_off_resonance(sys_, drive, times)
-    p_l, p_r = rabi_localized(sys_, drive, times)
-    report.rows = [[float(t), float(a), float(b_), float(c), float(d)]
-                   for t, a, b_, c, d in zip(times, p0, p1, p_l, p_r)]
+    for t in _time_samples(t_max, cfg.t_steps):
+        report.rows.append([t, *rabi_off_resonance(sys_, drive, t),
+                            *rabi_localized(sys_, drive, t)])
 
 
 def cmd_thermal(cfg: RunConfig, report: Report) -> None:
@@ -401,7 +416,7 @@ def cmd_oracle_check(cfg: RunConfig, report: Report) -> None:
     spec = cfg.well()
     report.columns = ["index", "parity", "energy_solver_J", "energy_grid_J", "rel_diff",
                       "within_tol"]
-    result = _every_level(spec, report)
+    result = _every_level(spec, report, cfg.grid_n)
     if result is None:
         return
     tol = 1e-4

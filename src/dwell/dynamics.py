@@ -5,21 +5,27 @@ every closed form.
 
 Conventions (fixing two sign typos that would make the formulas mutually
 inconsistent): omega = (E1 - E0)/hbar and Omega = (E0 + E1)/(2 hbar).
+
+The module loads no numpy: TwoLevelSystem.from_well and the closed-form
+traces at a Python number run on `math`, and the operators, the closed
+forms at arrays and the RK4 oracle import numpy when called.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ResonantDenominator
 from .spectrum import gap01, solve_below_barrier
 from .units import WellSpec, to_dimensionless
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Basis",
@@ -46,12 +52,28 @@ class Basis(enum.Enum):
     LOCALIZED = "localized"  # {psi_L, psi_R}
 
 
-# O maps (1,0) -> (1,1)/sqrt2 and (0,1) -> (1,-1)/sqrt2; its own inverse.
-BASIS_CHANGE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+@functools.cache
+def _basis_change() -> np.ndarray:
+    """O maps (1,0) -> (1,1)/sqrt2 and (0,1) -> (1,-1)/sqrt2; its own
+    inverse. Built on first use and read-only, as shared."""
+    import numpy as np
+
+    o = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    o.setflags(write=False)
+    return o
+
+
+def __getattr__(name: str):
+    # BASIS_CHANGE is served on first read, so importing the module loads no numpy
+    if name == "BASIS_CHANGE":
+        return _basis_change()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _frozen_2x2(obj, name: str) -> np.ndarray:
     """Store field `name` of frozen dataclass obj as a read-only complex 2x2 array."""
+    import numpy as np
+
     m = np.asarray(getattr(obj, name), dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"need a 2x2 matrix, got shape {m.shape}")
@@ -71,7 +93,8 @@ class TwoByTwoOperator:
     def rotated(self) -> "TwoByTwoOperator":
         """Conjugate by the basis-change unitary, flipping the tag; same type."""
         other = Basis.LOCALIZED if self.basis is Basis.ENERGY else Basis.ENERGY
-        return type(self)(BASIS_CHANGE @ self.matrix @ BASIS_CHANGE, other)
+        o = _basis_change()
+        return type(self)(o @ self.matrix @ o, other)
 
 
 @dataclass(frozen=True)
@@ -132,12 +155,24 @@ class HarmonicDrive:
             raise ValueError("drive amplitude and frequency must be >= 0")
 
 
-def x_expectation(sys: TwoLevelSystem, side: str, t) -> np.ndarray:
+def _on(t):
+    """The module that evaluates a closed form at t, and t in its type:
+    `math` and a float for a Python number, numpy and a float array
+    otherwise.  Both round alike, so each closed form has one formula."""
+    if isinstance(t, (int, float)):
+        return math, float(t)
+    import numpy as np
+
+    return np, np.asarray(t, dtype=float)
+
+
+def x_expectation(sys: TwoLevelSystem, side: str, t):
     """<x>(t) = +-d cos(omega t); + for the L-labeled state."""
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     sign = 1.0 if side == "L" else -1.0
-    return sign * sys.d * np.cos(sys.omega * np.asarray(t, dtype=float))
+    xp, t = _on(t)
+    return sign * sys.d * xp.cos(sys.omega * t)
 
 
 def perturbation_matrices(
@@ -148,6 +183,8 @@ def perturbation_matrices(
     E' I, the perturbation W = H' - H, and the two rotated into the
     localized basis, where W~ is purely off-diagonal with entries
     hbar omega / 2."""
+    import numpy as np
+
     e_mean = 0.5 * (sys.e0 + sys.e1)
     h = TwoByTwoOperator(np.diag([sys.e0, sys.e1]), Basis.ENERGY)
     h_prime = TwoByTwoOperator(e_mean * np.eye(2), Basis.ENERGY)
@@ -155,34 +192,34 @@ def perturbation_matrices(
     return h, h_prime, w, h.rotated(), w.rotated()
 
 
-def flip_flop(sys: TwoLevelSystem, phi: float, t) -> tuple[np.ndarray, np.ndarray]:
+def flip_flop(sys: TwoLevelSystem, phi: float, t):
     """Degenerate-picture occupation of the localized states,
     P_L = sin^2(omega t / 2 + phi), P_R = 1 - P_L."""
-    p_l = np.sin(sys.omega * np.asarray(t, dtype=float) / 2.0 + phi) ** 2
+    xp, t = _on(t)
+    s = xp.sin(sys.omega * t / 2.0 + phi)
+    p_l = s * s
     return p_l, 1.0 - p_l
 
 
-def _rabi_transfer(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float, t
-                   ) -> np.ndarray:
+def _rabi_transfer(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float, t):
     """(R1/R0)^2 sin^2(R0 t) with R1 = A/hbar, R0 = sqrt(R1^2 + (detuning/2)^2)."""
     r1 = drive.amplitude / sys.hbar
     r0 = math.hypot(r1, detuning / 2.0)
-    t = np.asarray(t, dtype=float)
+    xp, t = _on(t)
     if r0 == 0.0:
-        return np.zeros_like(t)
-    return (r1 / r0) ** 2 * np.sin(r0 * t) ** 2
+        return 0.0 if xp is math else xp.zeros_like(t)
+    s = xp.sin(r0 * t)
+    return (r1 / r0) ** 2 * (s * s)
 
 
-def rabi_off_resonance(sys: TwoLevelSystem, drive: HarmonicDrive, t
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def rabi_off_resonance(sys: TwoLevelSystem, drive: HarmonicDrive, t):
     """Driven populations of the energy eigenstates for c0(0) = 1:
     P1 = (R1/R0)^2 sin^2(R0 t) with R0 = sqrt((A/hbar)^2 + (detuning/2)^2)."""
     p1 = _rabi_transfer(sys, drive, drive.omega_prime - sys.omega, t)
     return 1.0 - p1, p1
 
 
-def rabi_localized(sys: TwoLevelSystem, drive: HarmonicDrive, t
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def rabi_localized(sys: TwoLevelSystem, drive: HarmonicDrive, t):
     """Driven populations of the localized states (degenerate core,
     starting in R): P_L = (R1/R0')^2 sin^2(R0' t) with
     R0' = sqrt((A/hbar)^2 + (omega'/2)^2)."""
@@ -214,7 +251,7 @@ def transition_amplitude(e_n: float, e_m: float, matrix_elems: tuple[complex, co
 # ---------------------------------------------------------------------------
 # RK4 oracle for the driven two-level ODEs i hbar dc/dt = M(t) c
 
-MatrixFn = Callable[[np.ndarray], np.ndarray]
+MatrixFn = Callable[["np.ndarray"], "np.ndarray"]
 """M(t): maps an array of times, shape (N,), to matrices, shape (N, 2, 2);
 a scalar time gives one (2, 2) matrix."""
 
@@ -240,6 +277,8 @@ def rk4_two_level(matrix_fn: MatrixFn, c0: np.ndarray, times: np.ndarray,
     longer one), the stage times t, t + h/2 and t + h of every substep go
     to matrix_fn in one array call, so the shared time t + h is read twice,
     as the end of one substep and the start of the next."""
+    import numpy as np
+
     times = np.asarray(times, dtype=float)
     out = np.empty((len(times), 2), dtype=complex)
     x, y = np.asarray(c0, dtype=complex).tolist()
@@ -276,6 +315,7 @@ def rk4_two_level(matrix_fn: MatrixFn, c0: np.ndarray, times: np.ndarray,
 
 def _drive_matrix(amplitude: float, rate: float) -> MatrixFn:
     """A [[0, e^{i rate t}], [cc, 0]]."""
+    import numpy as np
 
     def matrix(t) -> np.ndarray:
         phase = np.exp(1j * rate * np.asarray(t, dtype=float))
@@ -301,6 +341,8 @@ def localized_drive_interaction(drive: HarmonicDrive) -> MatrixFn:
 
 def flip_flop_generator(sys: TwoLevelSystem) -> MatrixFn:
     """Static coupling -(hbar omega/2) sigma_x that drives the flip-flop."""
+    import numpy as np
+
     m = -(sys.hbar * sys.omega / 2.0) * np.array([[0.0, 1.0], [1.0, 0.0]])
 
     def matrix(t) -> np.ndarray:

@@ -49,6 +49,7 @@ __all__ = [
     "aligned_size",
     "lowest_eigenvalues",
     "eigenvector",
+    "check_request",
 ]
 
 
@@ -106,12 +107,8 @@ def _second_difference_form(off: float, potential: np.ndarray, v: np.ndarray,
 
 def build_grid_hamiltonian(spec: WellSpec, n: int = 20_000) -> GridHamiltonian:
     """Discretize the well on n cells over [-(a+b), a+b]."""
-    if n < 100:
-        raise ValueError(f"grid needs at least 100 cells, got {n}")
     half = spec.half_width
-    dx = 2.0 * half / n
-    if 2.0 * spec.b < 4.0 * dx:
-        raise ValueError("barrier narrower than 4 cells; raise n")
+    dx = _cell_width(spec, n)
     hbar = spec.constants.hbar
     t = hbar**2 / (2.0 * spec.m * dx * dx)
 
@@ -135,6 +132,31 @@ def build_grid_hamiltonian(spec: WellSpec, n: int = 20_000) -> GridHamiltonian:
     diag[0] += t  # antisymmetric ghost: psi = 0 at the wall cell edge
     diag[-1] += t
     return GridHamiltonian(n, dx, diag, -t, v, half, spec.barrier_bound)
+
+
+def _cell_width(spec: WellSpec, n: int) -> float:
+    """The cell width of an n-cell grid, after the checks on n."""
+    if n < 100:
+        raise ValueError(f"grid needs at least 100 cells, got {n}")
+    dx = 2.0 * spec.half_width / n
+    if 2.0 * spec.b < 4.0 * dx:
+        raise ValueError("barrier narrower than 4 cells; raise n")
+    return dx
+
+
+def _check_count(n: int, count: int) -> None:
+    """The one check of an eigenvalue count asked of an n-cell grid."""
+    if count < 1 or count > n // 10:
+        raise ValueError(f"count must be in [1, n/10], got {count}")
+
+
+def check_request(spec: WellSpec, n: int, count: int) -> None:
+    """Raise the ValueError that build_grid_hamiltonian(spec, n) and then
+    lowest_eigenvalues(h, count) raise on their parameters, without
+    building the grid; so a caller rejects a level count it cannot check
+    before it solves for the levels."""
+    _cell_width(spec, n)
+    _check_count(n, count)
 
 
 def aligned_size(spec: WellSpec, target: int) -> int:
@@ -388,8 +410,7 @@ def lowest_eigenvalues(h: GridHamiltonian, count: int) -> np.ndarray:
     come from a generator seeded with n, so repeated calls are
     bit-identical.  Each block's run is stored in h._ritz for eigenvector,
     and never read here, so the values do not depend on earlier calls."""
-    if count < 1 or count > h.n // 10:
-        raise ValueError(f"count must be in [1, n/10], got {count}")
+    _check_count(h.n, count)
     rng = np.random.default_rng(h.n)
     store: list = []
     parts = []

@@ -65,6 +65,7 @@ __all__ = [
     "condition_functions",
     "cot_squared",
     "solve_below_barrier",
+    "level_count",
     "verify_bounds",
     "gap01",
     "gap_sweep",
@@ -326,6 +327,19 @@ def _pair_bracket(n: int, kappa: float) -> tuple[float, float, bool]:
     return lo, hi_pole, False
 
 
+def _crosses_below_cap(kappa: float, lam: float, parity: Parity) -> bool:
+    """Whether a bracket capped by the barrier holds a root: the closed-form
+    test g(kappa) > the limit of the right-hand side at kappa^- (0 for tanh,
+    1/(pi lambda) for coth)."""
+    try:
+        s, _, cot = _cot(kappa)
+        g_cap = -s * cot
+    except PoleCollision:
+        g_cap = math.inf  # the cap sits exactly on a pole: g diverges
+    limit = 0.0 if parity == "even" else 1.0 / (math.pi * lam)
+    return g_cap > limit
+
+
 def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
                       kappa: float, lam: float, parity: Parity) -> tuple[float, float] | None:
     """Find an evaluation point below the upper bracket end with F > 0, as
@@ -336,15 +350,8 @@ def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
     the right-hand side at kappa^- (0 for tanh, 1/(pi lambda) for coth)
     decides whether the root exists at all; None means the (odd) level was
     pushed above the barrier."""
-    if capped_by_barrier:
-        try:
-            s, _, cot = _cot(kappa)
-            g_cap = -s * cot
-        except PoleCollision:
-            g_cap = math.inf  # the cap sits exactly on a pole: g diverges
-        limit = 0.0 if parity == "even" else 1.0 / (math.pi * lam)
-        if not g_cap > limit:
-            return None
+    if capped_by_barrier and not _crosses_below_cap(kappa, lam, parity):
+        return None
     width = hi - lo
     shrink = 1e-9
     for _ in range(12):
@@ -420,6 +427,34 @@ def _solve_pair_diagnosed(
     return even, even_diag, odd, odd_diag
 
 
+def _has_pair(n: int, kappa: float) -> bool:
+    """Pair n lies below the barrier: (n+1/2)^2 < kappa, the loop guard of
+    solve_below_barrier."""
+    return (n + 0.5) ** 2 < kappa
+
+
+def level_count(well: ScaledWell) -> int:
+    """How many levels solve_below_barrier(well) returns, counted without
+    solving: two per pair its loop guard admits, less the odd level of the
+    top pair where the barrier caps that pair's bracket and the closed-form
+    test finds no odd root below the cap.  A solve that fails raises
+    instead; one that finds the top odd root indistinguishable from the
+    barrier top returns one level fewer."""
+    kappa = well.kappa
+    if not _has_pair(0, kappa):
+        return 0
+    # the guard is monotone in n, so bisect for the first pair it rejects
+    lo, pairs = 0, 2 * math.ceil(math.sqrt(kappa)) + 2  # admitted, rejected
+    while pairs - lo > 1:
+        mid = (lo + pairs) // 2
+        if _has_pair(mid, kappa):
+            lo = mid
+        else:
+            pairs = mid
+    capped = _pair_bracket(pairs - 1, kappa)[2]
+    return 2 * pairs - (capped and not _crosses_below_cap(kappa, well.lam, "odd"))
+
+
 def solve_below_barrier(well: ScaledWell, pairs: float = math.inf) -> SpectrumResult:
     """Solve the first `pairs` pairs (default all) with (n+1/2)^2 < kappa;
     empty when kappa <= 1/4.  A pair's levels depend only on n and the well,
@@ -427,7 +462,7 @@ def solve_below_barrier(well: ScaledWell, pairs: float = math.inf) -> SpectrumRe
     levels: list[EnergyLevel] = []
     report: list[LevelDiagnostics] = []
     n = 0
-    while n < pairs and (n + 0.5) ** 2 < well.kappa:
+    while n < pairs and _has_pair(n, well.kappa):
         try:
             even, even_diag, odd, odd_diag = _solve_pair_diagnosed(n, well)
         except DwellError as exc:

@@ -16,19 +16,24 @@ has positive slope there, which makes the dipole element of the lowest
 pair positive and golden outputs reproducible.
 
 Norms and dipole integrals use exact antiderivatives of the piecewise
-products. Every dipole element is also checked against a fixed
-Gauss-Legendre rule, region by region, which carries its own error estimate.
+products. Every dipole element is also checked against a composite
+Gauss-Legendre rule, region by region, whose panels follow the region's
+rate and which carries its own error estimate.
+
+The module computes on `math` alone: psi and psi' have one scalar
+evaluation, and the dipole check sums it at Legendre nodes built here.
+Arrays are mapped point by point, and numpy is imported only by the
+calls that take or return arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
 from dataclasses import dataclass
 from typing import Literal
-
-import numpy as np
 
 from .errors import MatchFailure, QuadratureError
 from .spectrum import EnergyLevel
@@ -45,11 +50,11 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-9
-# Gauss-Legendre check of the dipole element: _GL_PANELS equal panels of
-# _GL_NODES nodes per region, with _GL_COARSE_PANELS panels as the estimate
-_GL_NODES = 160
-_GL_PANELS = 8
-_GL_COARSE_PANELS = 4
+# Gauss-Legendre check of the dipole element: per region, equal panels of
+# _GL_NODES nodes spanning at most _GL_PANEL_RAD radians of the region's
+# rate each, with the rule of half as many panels as the estimate
+_GL_NODES = 20
+_GL_PANEL_RAD = 8.0
 
 
 @dataclass(frozen=True)
@@ -70,30 +75,43 @@ class PiecewiseEigenfunction:
     def parity(self) -> str:
         return self.level.parity
 
-    def _evaluate(self, x, derivative: bool) -> np.ndarray:
-        """psi, or psi' if derivative, at x; zero outside the walls."""
-        x = np.asarray(x, dtype=float)
-        r, edge = np.abs(x), self.a + self.b
-        barrier, valley = r <= self.b, (r > self.b) & (r < edge)
-        amp_b, amp_v = self.amplitudes
+    def _at(self, x: float, derivative: bool) -> float:
+        """psi, or psi' if derivative, at the point x; zero outside the walls."""
+        r = abs(x)
         even = self.parity == "even"
-        out = np.zeros_like(x)
-        if derivative:
-            out[barrier] = amp_b * self.beta * (np.sinh if even else np.cosh)(self.beta * r[barrier])
-            out[valley] = -amp_v * self.alpha * np.cos(self.alpha * (edge - r[valley]))
+        if r <= self.b:
+            beta = self.beta
+            if derivative:
+                out = self.amplitudes[0] * beta * (math.sinh if even else math.cosh)(beta * r)
+            else:
+                out = self.amplitudes[0] * (math.cosh if even else math.sinh)(beta * r)
         else:
-            out[barrier] = amp_b * (np.cosh if even else np.sinh)(self.beta * r[barrier])
-            out[valley] = amp_v * np.sin(self.alpha * (edge - r[valley]))
-        if even == derivative:  # an odd function (psi odd, or psi' of an even psi)
-            left = (x < 0.0) & (barrier | valley)  # inside the walls: no -0.0
-            out[left] = -out[left]
-        return out
+            edge = self.a + self.b
+            if r >= edge:
+                return 0.0
+            alpha = self.alpha
+            if derivative:
+                out = -self.amplitudes[1] * alpha * math.cos(alpha * (edge - r))
+            else:
+                out = self.amplitudes[1] * math.sin(alpha * (edge - r))
+        # an odd function (psi odd, or psi' of an even psi) flips on the left
+        return -out if even == derivative and x < 0.0 else out
 
-    def __call__(self, x) -> np.ndarray:
+    def _evaluate(self, x, derivative: bool):
+        """_at for a Python number; mapped over any other input, as an array."""
+        if isinstance(x, (int, float)):
+            return self._at(float(x), derivative)
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        values = [self._at(v, derivative) for v in x.ravel().tolist()]
+        return np.array(values, dtype=float).reshape(x.shape)
+
+    def __call__(self, x):
         """Evaluate pointwise; zero outside the walls."""
         return self._evaluate(x, False)
 
-    def derivative(self, x) -> np.ndarray:
+    def derivative(self, x):
         return self._evaluate(x, True)
 
 
@@ -198,9 +216,11 @@ def dipole_matrix_element(psi0: PiecewiseEigenfunction, psi1: PiecewiseEigenfunc
     """|<psi0| x |psi1>| for an opposite-parity pair; positive by the sign
     convention (equivalent to flipping psi1's global sign when needed).
 
-    The analytic value is checked on every call against a Gauss-Legendre
-    rule (8 panels of 160 nodes per region) to 1e-10 relative. The rule's
-    own error estimate, its disagreement with 4 panels, must meet the same
+    The analytic value is checked on every call against a composite
+    Gauss-Legendre rule to 1e-10 relative: per region, panels of 20 nodes
+    spanning at most 8 rad of the integrand's rate (alpha0 + alpha1 in the
+    valleys, beta0 + beta1 in the barrier). The rule's own error estimate,
+    its disagreement with half as many panels, must meet the same
     tolerance; either miss raises QuadratureError."""
     if psi0.parity == psi1.parity:
         raise ValueError("dipole element needs opposite parities")
@@ -212,8 +232,8 @@ def dipole_matrix_element(psi0: PiecewiseEigenfunction, psi1: PiecewiseEigenfunc
     tol = 1e-10 * max(abs(d), 1e-3 * edge)
     if d_err > tol:
         raise QuadratureError(
-            f"Gauss-Legendre rule unconverged: {_GL_PANELS} and {_GL_COARSE_PANELS} "
-            f"panels disagree by {d_err:.1e}, beyond {tol:.1e}")
+            f"Gauss-Legendre rule unconverged: n and n/2 panels disagree by "
+            f"{d_err:.1e}, beyond {tol:.1e}")
     if abs(d_num - d) > tol:
         raise QuadratureError(
             f"analytic dipole {d:.15e} vs quadrature {d_num:.15e} beyond {tol:.1e}")
@@ -224,41 +244,66 @@ def _quad_position(f: PiecewiseEigenfunction, g: PiecewiseEigenfunction) -> tupl
     """<f| x |g> by the Gauss-Legendre rule over the left valley, the barrier
     and the right valley, and the summed error estimate of the three."""
     edge = f.a + f.b
+    valley, barrier = f.alpha + g.alpha, f.beta + g.beta
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return x * f(x) * g(x)
+    def integrand(x: float) -> float:
+        return x * f._at(x, False) * g._at(x, False)
 
     total = err = 0.0
-    for lo, hi in ((-edge, -f.b), (-f.b, f.b), (f.b, edge)):
-        val, val_err = _gauss_legendre(integrand, lo, hi)
+    for lo, hi, rate in ((-edge, -f.b, valley), (-f.b, f.b, barrier), (f.b, edge, valley)):
+        panels = 2 * max(1, math.ceil(rate * (hi - lo) / (2.0 * _GL_PANEL_RAD)))
+        val, val_err = _gauss_legendre(integrand, lo, hi, panels)
         total += val
         err += val_err
     return total, err
 
 
-def _gauss_legendre(func, lo: float, hi: float) -> tuple[float, float]:
-    """int_lo^hi func by _GL_PANELS panels, and its distance from the
-    _GL_COARSE_PANELS-panel value; both rules share one call of func."""
-    nodes, weights = _panel_rules()
-    fine, coarse = (hi - lo) * (weights @ func(lo + (hi - lo) * nodes))
-    return float(fine), abs(float(fine - coarse))
+def _gauss_legendre(func, lo: float, hi: float, panels: int) -> tuple[float, float]:
+    """int_lo^hi func by `panels` equal panels (an even count), and its
+    distance from the value of panels/2 panels."""
+    width = hi - lo
+    fine, coarse = (width * math.fsum(w * func(lo + width * u) for u, w in zip(*rule))
+                    for rule in _panel_rules(panels))
+    return fine, abs(fine - coarse)
+
+
+@functools.lru_cache(maxsize=64)
+def _panel_rules(panels: int) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
+    """(nodes, weights) on [0, 1] of the composite rule of `panels` equal
+    panels, then of panels // 2, with _GL_NODES Legendre nodes per panel."""
+    x, w = _legendre_rule(_GL_NODES)
+    return tuple((tuple((j + 0.5 * (xi + 1.0)) / p for j in range(p) for xi in x),
+                  tuple(wi / (2.0 * p) for _ in range(p) for wi in w))
+                 for p in (panels, panels // 2))
 
 
 @functools.cache
-def _panel_rules() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes on [0, 1] of the fine and then the coarse panel rule, and a
-    2-row weight matrix whose rows are the two rules. Built on first use,
-    not at import: leggauss(160) costs tens of ms. Read-only, as shared."""
-    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
-    counts = (_GL_PANELS, _GL_COARSE_PANELS)
-    nodes = np.concatenate([((np.arange(p)[:, None] + 0.5 * (x + 1.0)) / p).ravel()
-                            for p in counts])
-    weights = np.zeros((2, nodes.size))
-    split = _GL_PANELS * _GL_NODES
-    weights[0, :split] = np.tile(w, _GL_PANELS) / (2.0 * _GL_PANELS)
-    weights[1, split:] = np.tile(w, _GL_COARSE_PANELS) / (2.0 * _GL_COARSE_PANELS)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights of order n on [-1, 1].
+    Each positive node is Newton's method on P_n, evaluated with P_n' by
+    the three-term recurrence, from cos(pi (i + 3/4)/(n + 1/2)); the
+    negative nodes mirror them."""
+    nodes, weights = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        z = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, dp = _legendre_and_slope(n, z)
+            step = p / dp
+            z -= step
+            if abs(step) < 1e-14:  # the step just taken is quadratically smaller
+                break
+        _, dp = _legendre_and_slope(n, z)
+        nodes[i], nodes[n - 1 - i] = -z, z
+        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - z * z) * dp * dp)
+    return tuple(nodes), tuple(weights)
+
+
+def _legendre_and_slope(n: int, z: float) -> tuple[float, float]:
+    """P_n(z) and P_n'(z), for |z| < 1, by (j+1) P_{j+1} = (2j+1) z P_j - j P_{j-1}."""
+    p_prev, p = 0.0, 1.0
+    for j in range(n):
+        p_prev, p = p, ((2 * j + 1) * z * p - j * p_prev) / (j + 1)
+    return p, n * (z * p - p_prev) / (z * z - 1.0)
 
 
 @dataclass(frozen=True)
@@ -274,21 +319,24 @@ class LocalizedState:
         if self.psi0.parity == self.psi1.parity:
             raise ValueError("localized states need an opposite-parity pair")
 
-    def __call__(self, x, t: float) -> np.ndarray:
+    def __call__(self, x, t: float):
         return localized_state_value(self, x, t)
 
 
-def localized_state_value(state: LocalizedState, x, t: float) -> np.ndarray:
-    """(1/sqrt2) [exp(-i E0 t/hbar) psi0 +- exp(-i E1 t/hbar) psi1]."""
+def localized_state_value(state: LocalizedState, x, t: float):
+    """(1/sqrt2) [exp(-i E0 t/hbar) psi0 +- exp(-i E1 t/hbar) psi1]; a
+    complex number at a Python number x, else a complex array."""
     hbar = state.psi0.hbar
     sign = 1.0 if state.side == "L" else -1.0
-    phase0 = np.exp(-1j * state.psi0.level.energy * t / hbar)
-    phase1 = np.exp(-1j * state.psi1.level.energy * t / hbar)
+    phase0 = cmath.exp(-1j * state.psi0.level.energy * t / hbar)
+    phase1 = cmath.exp(-1j * state.psi1.level.energy * t / hbar)
     return (phase0 * state.psi0(x) + sign * phase1 * state.psi1(x)) / math.sqrt(2.0)
 
 
 def count_nodes(psi: PiecewiseEigenfunction) -> int:
     """Interior sign changes over 10 000 uniform points (walls excluded)."""
+    import numpy as np
+
     edge = psi.a + psi.b
     x = np.linspace(-edge, edge, 10_002)[1:-1]
     values = psi(x)

@@ -15,11 +15,15 @@ import dwell.spectrum
 from dwell import PAPER_CONSTANTS, TABLE1_B_VALUES, WellSpec, solve_below_barrier, to_dimensionless
 from dwell.cli import (
     _line_fit,
+    _time_samples,
+    build_config,
+    build_parser,
     main,
     parse_quantity,
     table1_rows,
 )
 from dwell.errors import ConfigError, ConvergenceFailure
+from dwell.spectrum import level_count
 
 
 def run_cli(args, capsys):
@@ -158,12 +162,12 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
 
 
 def test_import_loads_no_scipy():
-    # no runtime path imports scipy: neither the import nor `dynamics` and
-    # `rabi` (which build the dipole element and its Gauss-Legendre check)
-    # nor the two grid-oracle commands, in either format, nor
-    # grid_oracle.eigenvector load any of it.  numpy is imported only by
-    # the commands that compute with it, so neither the import nor the
-    # pure-math commands, in either format, load any of it
+    # no runtime path imports scipy: neither the import nor any command, in
+    # either format, nor grid_oracle.eigenvector load any of it.  numpy is
+    # imported only by the commands that compute with it, so neither the
+    # import nor the pure-math commands (dynamics and rabi among them, which
+    # build the dipole element and its Gauss-Legendre check), in either
+    # format, load any of it
     src = Path(__file__).resolve().parents[1] / "src"
     loaded = "sorted(m for m in sys.modules if m.partition('.')[0] == {!r})".format
     code = f"import sys, dwell, dwell.cli; print({loaded('scipy')}, {loaded('numpy')})"
@@ -172,10 +176,9 @@ def test_import_loads_no_scipy():
     assert result.stdout == "[] []\n"
     code = ("import sys; from dwell.cli import main; "
             "light = [main([cmd, '--format', fmt, '--out', sys.argv[1]]) "
-            "for cmd in ('spectrum', 'table1', 'thermal', 'gap-sweep') for fmt in ('csv', 'json')]; "
+            "for cmd in ('spectrum', 'table1', 'thermal', 'gap-sweep', 'dynamics', 'rabi') "
+            "for fmt in ('csv', 'json')]; "
             f"print(light, {loaded('numpy')}); "
-            "codes = [main([cmd, '--out', sys.argv[1]]) for cmd in ('dynamics', 'rabi')]; "
-            f"print(codes, {loaded('scipy')}); "
             "grid = [main([*cmd, '--format', fmt, '--out', sys.argv[1]]) "
             "for cmd in (['spectrum', '--oracle'], ['oracle-check']) "
             "for fmt in ('csv', 'json')]; "
@@ -187,8 +190,17 @@ def test_import_loads_no_scipy():
             f"print(len(v), {loaded('scipy')})")
     result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout == ("[0, 0, 0, 0, 0, 0, 0, 0] []\n[0, 0] []\n[0, 0, 0, 0] []\n"
+    assert result.stdout == ("[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []\n[0, 0, 0, 0] []\n"
                              "2002 []\n")
+
+
+@pytest.mark.parametrize("t_max", [1.0, 2.3e-6, -7e-7, 0.0, 5e-324])
+def test_time_samples_are_bit_equal_to_linspace(t_max):
+    for t_steps in (1, 2, 7, 50, 101, 200):
+        times = _time_samples(t_max, t_steps)
+        assert all(type(t) is float for t in times)
+        assert [t.hex() for t in times] == \
+            [t.hex() for t in np.linspace(0.0, t_max, t_steps).tolist()]
 
 
 def test_dynamics_probabilities_and_periodicity(capsys):
@@ -335,11 +347,9 @@ def test_unallocatable_grid_is_a_value_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["dynamics", "rabi"])
-def test_unallocatable_time_samples_are_a_value_error(command, capsys, monkeypatch):
-    # the allocation is made to fail; that many samples are never requested
-    def _raise_memory_error(*_args, **_kwargs):
-        raise MemoryError
-    monkeypatch.setattr(np, "linspace", _raise_memory_error)
+def test_unallocatable_time_samples_are_a_value_error(command, capsys):
+    # 8e14 bytes of list exceed the address space, so the allocation fails
+    # at once; a count that could be allocated is never requested
     code = main([command, "--t-steps", "99999999999999"])
     captured = capsys.readouterr()
     assert code == 1
@@ -395,6 +405,31 @@ def test_thermal_on_a_very_deep_well_solves_only_pairs_0_and_1(capsys, monkeypat
     code, _ = run_cli(["thermal", "--k", "5.49e-10J"], capsys)
     assert code == 0
     assert solved == [0, 1]
+
+
+@pytest.mark.parametrize("command", [["oracle-check"], ["spectrum", "--oracle"]])
+def test_grid_check_rejects_the_level_count_before_solving(command, capsys, monkeypatch):
+    # kappa = 6.8e11: about 8.2e5 pairs lie below the barrier, far past the
+    # 86 levels a grid of 861 cells can check
+    solve = dwell.spectrum._solve_pair_diagnosed
+    solved = []
+
+    def counting(n, well):
+        solved.append(n)
+        if n > 1:
+            raise ConvergenceFailure(f"the grid check solved pair {n}")
+        return solve(n, well)
+
+    monkeypatch.setattr(dwell.spectrum, "_solve_pair_diagnosed", counting)
+    argv = [*command, "--k", "4.1e-14J", "--grid-n", "861"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    count = level_count(to_dimensionless(build_config(build_parser().parse_args(argv)).well()))
+    assert count > 1_600_000
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: count must be in [1, n/10], got {count}\n"
+    assert solved == []
 
 
 def test_invalid_well_parameter_reports_cleanly(capsys):

@@ -54,6 +54,31 @@ def test_basis_change_unitary():
                        np.array([1.0, -1.0]) / math.sqrt(2.0), atol=1e-16)
 
 
+def test_basis_change_is_one_read_only_array():
+    import dwell.dynamics as dynamics
+
+    assert dynamics.BASIS_CHANGE is BASIS_CHANGE
+    assert not BASIS_CHANGE.flags.writeable
+
+
+@pytest.mark.parametrize("drive", [HarmonicDrive(3e-30, 6e6), HarmonicDrive(0.0, 0.0)])
+def test_closed_forms_agree_at_a_float_and_an_array(two_level, drive):
+    # each closed form has one formula, on math at a Python number and on
+    # numpy at an array; the two paths round alike
+    times = np.linspace(-2.0, 13.0, 61) / two_level.omega
+    traces = [(lambda t: (x_expectation(two_level, "L", t), x_expectation(two_level, "R", t)),
+               two_level.d),
+              (lambda t: flip_flop(two_level, 0.3, t), 1.0),
+              (lambda t: rabi_off_resonance(two_level, drive, t), 1.0),
+              (lambda t: rabi_localized(two_level, drive, t), 1.0)]
+    for trace, scale in traces:
+        arrays = trace(times)
+        for i, t in enumerate(times.tolist()):
+            for value, array in zip(trace(t), arrays):
+                assert type(value) is float
+                assert value == pytest.approx(array[i], rel=1e-15, abs=1e-15 * scale)
+
+
 def test_perturbation_matrices(two_level):
     h, h_prime, w, h_rot, w_rot = perturbation_matrices(two_level)
     hbar_omega = two_level.hbar * two_level.omega
@@ -298,13 +323,14 @@ def test_from_well_consistency(table_well, two_level, table_spectrum):
 
 def test_from_well_runs_the_quad_cross_check(table_well, monkeypatch):
     # the dipole element is checked by the Gauss-Legendre rule on every call,
-    # once per region of the well
+    # once per region of the well, with an even panel count
     calls = []
     rule = wavefunction._gauss_legendre
 
-    def counting_rule(func, lo, hi):
+    def counting_rule(func, lo, hi, panels):
         calls.append((lo, hi))
-        return rule(func, lo, hi)
+        assert panels >= 2 and panels % 2 == 0
+        return rule(func, lo, hi, panels)
 
     monkeypatch.setattr(wavefunction, "_gauss_legendre", counting_rule)
     TwoLevelSystem.from_well(table_well)
@@ -315,8 +341,8 @@ def test_from_well_runs_the_quad_cross_check(table_well, monkeypatch):
 def test_from_well_rejects_a_disagreeing_quadrature(table_well, monkeypatch):
     rule = wavefunction._gauss_legendre
 
-    def biased_rule(func, lo, hi):
-        val, err = rule(func, lo, hi)
+    def biased_rule(func, lo, hi, panels):
+        val, err = rule(func, lo, hi, panels)
         return val * (1.0 + 1e-6), err
 
     monkeypatch.setattr(wavefunction, "_gauss_legendre", biased_rule)
@@ -327,11 +353,14 @@ def test_from_well_rejects_a_disagreeing_quadrature(table_well, monkeypatch):
 def test_from_well_rejects_disagreeing_panel_counts(table_well, monkeypatch):
     # skewing only the coarse rule leaves the fine value right, so the
     # panel estimate is the check that fires
-    nodes, weights = wavefunction._panel_rules()
-    skewed = weights.copy()
-    skewed[1] *= 1.0 + 1e-6
-    monkeypatch.setattr(wavefunction, "_panel_rules", lambda: (nodes, skewed))
-    with pytest.raises(QuadratureError, match="8 and 4 panels disagree by"):
+    rules = wavefunction._panel_rules
+
+    def skewed_rules(panels):
+        fine, (nodes, weights) = rules(panels)
+        return fine, (nodes, tuple(w * (1.0 + 1e-6) for w in weights))
+
+    monkeypatch.setattr(wavefunction, "_panel_rules", skewed_rules)
+    with pytest.raises(QuadratureError, match="n and n/2 panels disagree by"):
         TwoLevelSystem.from_well(table_well)
 
 

@@ -24,7 +24,7 @@ from dwell.errors import (
     NotReached,
     PoleCollision,
 )
-from dwell.spectrum import _f_and_deriv, cot_squared
+from dwell.spectrum import _f_and_deriv, cot_squared, level_count
 
 # frozen from an independent 50-digit evaluation
 G_AT_089 = 5.2493156196093767     # g(0.89)
@@ -228,6 +228,40 @@ def test_shallow_well_without_odd_level_raises_bracket_failure_everywhere(
     assert main(["dynamics", "--k", "3e-26J", "--format", "json"]) == 1
     (record,) = json.loads(capsys.readouterr().out)["records"]
     assert record["error_class"] == "BracketFailure"
+
+
+def _count_probe_wells():
+    """Seeded wells over kappa in [0.2, 3000] and lambda in [1e-3, 3], a
+    third of them with kappa just below a square, where the barrier caps the
+    top pair and its odd level may be missing."""
+    rng = np.random.default_rng(22)
+    wells = []
+    for i in range(240):
+        kappa = 10.0 ** rng.uniform(-0.7, 3.5)
+        if i % 3 == 0:
+            kappa = math.ceil(math.sqrt(kappa)) ** 2 * (1.0 - 10.0 ** rng.uniform(-6.0, -1.0))
+        wells.append(ScaledWell(float(kappa), float(10.0 ** rng.uniform(-3.0, 0.5))))
+    return wells
+
+
+def test_level_count_matches_the_solve():
+    missing_odd = 0
+    for well in _count_probe_wells():
+        levels = solve_below_barrier(well).levels
+        assert level_count(well) == len(levels), well
+        missing_odd += len(levels) % 2
+    assert missing_odd >= 20  # the top odd level is counted out, not only in
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.25, math.nextafter(0.25, 1.0), 2.25,
+                                   math.nextafter(2.25, 3.0), 6.8e11])
+def test_level_count_follows_the_loop_guard(kappa):
+    # two levels per pair n with (n + 1/2)^2 < kappa, the top odd one maybe not
+    pairs = 0
+    while (pairs + 0.5) ** 2 < kappa:
+        pairs += 1
+    count = level_count(ScaledWell(kappa, 0.1))
+    assert count in ((2 * pairs - 1, 2 * pairs) if pairs else (0,))
 
 
 def test_gap_sweep_rows(table_well):

@@ -20,7 +20,7 @@ from dwell import (
     to_dimensionless,
 )
 from dwell.errors import MatchFailure
-from dwell.wavefunction import _gauss_legendre, _quad_position
+from dwell.wavefunction import _gauss_legendre, _legendre_rule, _quad_position
 
 # frozen from an independent 50-digit evaluation at the reference geometry
 DIPOLE_ROW1 = 5.71939355632e-7  # m
@@ -155,11 +155,29 @@ def test_gauss_legendre_rule_matches_analytic_on_opaque_wells(table_well, kappa,
 
 
 def test_gauss_legendre_estimate_sees_a_kink():
-    # |x - 0.3| has its kink inside a panel of both rules
-    val, err = _gauss_legendre(lambda x: np.abs(x - 0.3), -1.0, 1.0)
+    # |x - 0.3| has its kink inside a panel of both rules (8 and 4 panels)
+    val, err = _gauss_legendre(lambda x: abs(x - 0.3), -1.0, 1.0, 8)
     assert err > 1e-8 and abs(val - 1.09) > 1e-8
-    val, err = _gauss_legendre(np.cos, -1.0, 1.0)
+    val, err = _gauss_legendre(math.cos, -1.0, 1.0, 8)
     assert err <= 1e-15 and val == pytest.approx(2.0 * math.sin(1.0), rel=1e-15)
+
+
+def test_legendre_nodes_and_weights_match_references():
+    # nodes against numpy's eigenvalue-based rule; weights within 1e-15 of
+    # a 40-digit evaluation, but only 4e-15 of leggauss, whose own weights
+    # are off by up to 1.2e-15 at n = 20 and 3.2e-15 at n = 40
+    mp = pytest.importorskip("mpmath").mp
+    for n in (1, 2, 5, 20, 21, 40):
+        nodes, weights = _legendre_rule(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(np.array(nodes) - ref_nodes)) <= 1e-15
+        assert np.max(np.abs(np.array(weights) - ref_weights)) <= 4e-15
+        with mp.workdps(40):
+            for z, w in zip(nodes, weights):
+                root = mp.findroot(lambda u: mp.legendre(n, u), z)
+                slope = mp.diff(lambda u: mp.legendre(n, u), root)
+                assert abs(z - root) <= 1e-15
+                assert abs(w - 2 / ((1 - root**2) * slope**2)) <= 1e-15
 
 
 def test_dipole_requires_opposite_parity(table_pair):
