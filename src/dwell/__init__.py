@@ -5,15 +5,16 @@ cross-check for every spectral result.
 The names below are exported lazily (PEP 562): `import dwell` loads no
 submodule, and `dwell.X` or `from dwell import X` imports X's submodule
 on first use.  The spectrum, the eigenfunctions and their dipole
-element, TwoLevelSystem.from_well and the closed-form traces at a Python
-number run on `math`, so code that needs only those never pays for
-numpy."""
+element, TwoLevelSystem.from_well, the closed-form traces at a Python
+number, the 2x2 operators and the density matrices run on `math` and
+Python complex, so code that needs only those never pays for numpy."""
 
 import importlib
 
 _EXPORTS = {name: module for module, names in {
-    "density": ("CompositeState", "DensityMatrix", "change_basis", "coherence_magnitude",
-                "expectation", "is_pure", "reduce_state", "reference_states"),
+    "density": ("CompositeState", "DensityMatrix", "abs_det", "change_basis",
+                "coherence_magnitude", "expectation", "is_pure", "reduce_state",
+                "reference_states"),
     "dynamics": ("BASIS_CHANGE", "Basis", "HarmonicDrive", "TwoByTwoOperator",
                  "TwoLevelSystem", "flip_flop", "perturbation_matrices", "rabi_localized",
                  "rabi_off_resonance", "transition_amplitude", "x_expectation"),

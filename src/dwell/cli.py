@@ -21,18 +21,19 @@ Exit codes, one per channel:
      path), or an argparse usage error.
 
 Each command imports what it computes with: the module loads only the
-pure-`math` spectrum, thermal and unit code, and `spectrum`, `table1`,
-`thermal`, `gap-sweep`, `dynamics` and `rabi` never load numpy (the last
-two take the lowest pair, its dipole check and one closed-form call per
-time sample on `math`).  `density` and the grid oracle import numpy when
-they run, the only third-party package any command loads; the grid
-checks reject a level count the grid cannot check before they solve.
+pure-`math` spectrum, thermal and unit code, and `json` only for JSON
+output.  `spectrum`, `table1`, `thermal`, `gap-sweep`, `dynamics`, `rabi`
+and `density` never load numpy (`dynamics` and `rabi` take the lowest
+pair, its dipole check and one closed-form call per time sample on
+`math`; `density` does its 2x2 algebra on Python complex).  Only the grid
+oracle of `spectrum --oracle` and `oracle-check` imports numpy, the only
+third-party package any command loads; the grid checks reject a level
+count the grid cannot check before they solve.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -208,6 +209,8 @@ def _fmt_cell(value) -> str:
 
 def emit(report: Report, cfg: RunConfig) -> int:
     if cfg.format == "json":
+        import json  # only here: a csv run does not pay for its import
+
         payload = {"command": report.command, "columns": report.columns,
                    "rows": [[(None if isinstance(v, float) and math.isnan(v) else v)
                              for v in row] for row in report.rows],
@@ -397,13 +400,11 @@ def cmd_gap_sweep(cfg: RunConfig, report: Report) -> None:
 
 
 def cmd_density(cfg: RunConfig, report: Report) -> None:
-    import numpy as np
-
     from . import density as density_mod
 
     report.columns = ["label", "abs_det", "classification", "purity"]
     for label, state in density_mod.reference_states():
-        det = float(abs(np.linalg.det(state.coeffs)))
+        det = density_mod.abs_det(state)
         try:
             kind = "pure" if density_mod.is_pure(state) else "mixed"
         except AmbiguousPurity:

@@ -11,16 +11,20 @@ populations and off-diagonal the coherences.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .dynamics import Basis, TwoByTwoOperator, _frozen_2x2
+from .dynamics import Basis, TwoByTwoOperator, _frozen_2x2, _mul
 from .errors import AmbiguousPurity, BasisMismatch
+
+if TYPE_CHECKING:
+    from .dynamics import Matrix2
 
 __all__ = [
     "CompositeState",
     "DensityMatrix",
+    "abs_det",
     "is_pure",
     "reduce_state",
     "expectation",
@@ -33,62 +37,108 @@ _PURE_TOL = 1e-12
 _AMBIGUOUS_TOL = 1e-9
 
 
+def _norm2(m: Matrix2) -> float:
+    """sum |m[j][k]|^2, added in row-major order as numpy.sum adds four terms."""
+    (a, b), (c, d) = m
+    return abs(a) * abs(a) + abs(b) * abs(b) + abs(c) * abs(c) + abs(d) * abs(d)
+
+
 @dataclass(frozen=True)
 class CompositeState:
     """Normalized coefficients c[j,k]: rows are the system basis (+, -),
-    columns the environment basis (alpha, beta)."""
+    columns the environment basis (alpha, beta); `coeffs` holds them as a
+    nested tuple of complex."""
 
-    coeffs: np.ndarray
+    coeffs: Matrix2
 
     def __post_init__(self) -> None:
-        norm = float(np.sum(np.abs(_frozen_2x2(self, "coeffs")) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        norm = _norm2(_frozen_2x2(self, "coeffs"))
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN or infinite coefficient fails too
             raise ValueError(f"state is not normalized: sum |c|^2 = {norm!r}")
 
     @classmethod
     def from_terms(cls, terms: dict[tuple[str, str], complex]) -> "CompositeState":
         """Build from {('+'|'-', 'alpha'|'beta'): amplitude} and normalize."""
-        c = np.zeros((2, 2), dtype=complex)
+        c = [[0j, 0j], [0j, 0j]]
         rows = {"+": 0, "-": 1}
         cols = {"alpha": 0, "beta": 1}
         for (j, k), amp in terms.items():
-            c[rows[j], cols[k]] += amp
-        norm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-        if norm == 0:
+            if j not in rows or k not in cols:
+                raise ValueError(f"unknown term ({j!r}, {k!r}): the system label must be "
+                                 f"one of {list(rows)} and the environment label one of "
+                                 f"{list(cols)}")
+            c[rows[j]][cols[k]] += amp
+        norm2 = _norm2(c)
+        if not math.isfinite(norm2):
+            raise ValueError(f"cannot normalize: sum |amplitude|^2 = {norm2!r}")
+        if norm2 == 0:
             raise ValueError("zero state")
-        return cls(c / norm)
+        scale = 1.0 / math.sqrt(norm2)  # numpy divides complex by real as times 1/norm
+        return cls(tuple(tuple(x * scale for x in row) for row in c))
+
+
+def _is_hermitian(m: Matrix2, atol: float) -> bool:
+    """|m[j][k] - conj(m[k][j])| <= atol for every entry, as
+    numpy.allclose(m, m^H, atol=atol, rtol=0) (a NaN entry fails)."""
+    (a, b), (c, d) = m
+    return (abs(a - a.conjugate()) <= atol and abs(d - d.conjugate()) <= atol
+            and abs(b - c.conjugate()) <= atol)
+
+
+def _min_eigenvalue(m: Matrix2) -> float:
+    """The lower eigenvalue of a Hermitian 2x2 m in closed form:
+    (m00 + m11)/2 - hypot((m00 - m11)/2, |m01|)."""
+    p, q = m[0][0].real, m[1][1].real
+    return (p + q) / 2.0 - math.hypot((p - q) / 2.0, abs(m[0][1]))
 
 
 @dataclass(frozen=True)
 class DensityMatrix(TwoByTwoOperator):
-    """A TwoByTwoOperator (cast, shape check, freeze) that is also
-    Hermitian, unit-trace and positive semidefinite."""
+    """A TwoByTwoOperator (cast, shape check) that is also Hermitian,
+    unit-trace and positive semidefinite."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         m = self.matrix
-        if not np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0):
+        if not _is_hermitian(m, 1e-12):
             raise ValueError("density matrix is not Hermitian")
-        if abs(m.trace().real - 1.0) > 1e-12:
-            raise ValueError(f"trace must be 1, got {m.trace()!r}")
-        if np.linalg.eigvalsh(m).min() < -1e-12:
+        trace = m[0][0] + m[1][1]
+        if abs(trace.real - 1.0) > 1e-12:
+            raise ValueError(f"trace must be 1, got {trace!r}")
+        if _min_eigenvalue(m) < -1e-12:
             raise ValueError("density matrix has a negative eigenvalue")
 
     @property
     def purity(self) -> float:
         """Tr(rho^2), 1/2 for maximally mixed up to 1 for pure."""
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        (a, _), (_, d) = _mul(self.matrix, self.matrix)
+        return (a + d).real
 
     @property
     def populations(self) -> tuple[float, float]:
-        return float(self.matrix[0, 0].real), float(self.matrix[1, 1].real)
+        return self.matrix[0][0].real, self.matrix[1][1].real
+
+
+def abs_det(state: CompositeState) -> float:
+    """|det c|, rounded as numpy.linalg.det rounds it: LU with partial
+    pivoting on |Re| + |Im| (LAPACK getrf, which scales by 1/pivot unless
+    that overflows), then exp(log|u00| + log|u11|), and 0 on a zero pivot."""
+    (a, b), (c, d) = state.coeffs
+    if abs(c.real) + abs(c.imag) > abs(a.real) + abs(a.imag):
+        a, b, c, d = c, d, a, b
+    if a == 0:
+        return 0.0
+    u11 = d - (c * (1.0 / a) if abs(a) >= sys.float_info.min else c / a) * b
+    if u11 == 0:
+        return 0.0
+    return math.exp(math.log(abs(a)) + math.log(abs(u11)))
 
 
 def is_pure(state: CompositeState) -> bool:
     """Product-state test via |det c|; raises AmbiguousPurity inside the
     band [1e-12, 1e-9] where rounding noise and genuine entanglement are
     indistinguishable."""
-    det = abs(np.linalg.det(state.coeffs))
+    det = abs_det(state)
     if det < _PURE_TOL:
         return True
     if det <= _AMBIGUOUS_TOL:
@@ -99,8 +149,8 @@ def is_pure(state: CompositeState) -> bool:
 def reduce_state(state: CompositeState) -> DensityMatrix:
     """Trace out the environment: rho_{j,j'} = sum_k conj(c[j,k]) c[j',k]."""
     c = state.coeffs
-    rho = c.conj() @ c.T
-    return DensityMatrix(rho, Basis.ENERGY)
+    conj = tuple(tuple(x.conjugate() for x in row) for row in c)
+    return DensityMatrix(_mul(conj, tuple(zip(*c))), Basis.ENERGY)
 
 
 def expectation(rho: DensityMatrix, observable: TwoByTwoOperator) -> float:
@@ -108,10 +158,10 @@ def expectation(rho: DensityMatrix, observable: TwoByTwoOperator) -> float:
     if rho.basis is not observable.basis:
         raise BasisMismatch(
             f"density matrix in {rho.basis.value}, observable in {observable.basis.value}")
-    f = observable.matrix
-    if not np.allclose(f, f.conj().T, atol=1e-10, rtol=0.0):
+    if not _is_hermitian(observable.matrix, 1e-10):
         raise ValueError("observable must be Hermitian")
-    value = complex(np.trace(f @ rho.matrix))
+    (a, _), (_, d) = _mul(observable.matrix, rho.matrix)
+    value = a + d
     if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
         raise ValueError(f"expectation has a stray imaginary part: {value!r}")
     return value.real
@@ -126,7 +176,7 @@ def change_basis(rho: DensityMatrix, to: Basis) -> DensityMatrix:
 def coherence_magnitude(rho: DensityMatrix) -> float:
     """|rho_01| in the tagged basis; zero iff the state is classical-looking
     in that basis."""
-    return float(abs(rho.matrix[0, 1]))
+    return abs(rho.matrix[0][1])
 
 
 def reference_states() -> tuple[tuple[str, CompositeState], ...]:

@@ -6,9 +6,10 @@ every closed form.
 Conventions (fixing two sign typos that would make the formulas mutually
 inconsistent): omega = (E1 - E0)/hbar and Omega = (E0 + E1)/(2 hbar).
 
-The module loads no numpy: TwoLevelSystem.from_well and the closed-form
-traces at a Python number run on `math`, and the operators, the closed
-forms at arrays and the RK4 oracle import numpy when called.
+The module loads no numpy: TwoLevelSystem.from_well, the closed-form
+traces at a Python number and the 2x2 operators run on `math` and Python
+complex, and BASIS_CHANGE, the closed forms at arrays and the RK4 oracle
+import numpy when called.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .units import WellSpec, to_dimensionless
 
 if TYPE_CHECKING:
     import numpy as np
+
+    Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 __all__ = [
     "Basis",
@@ -52,13 +55,18 @@ class Basis(enum.Enum):
     LOCALIZED = "localized"  # {psi_L, psi_R}
 
 
+def _basis_change_rows() -> Matrix2:
+    """O maps (1,0) -> (1,1)/sqrt2 and (0,1) -> (1,-1)/sqrt2; its own inverse."""
+    s = 1.0 / math.sqrt(2.0)
+    return ((s, s), (s, -s))
+
+
 @functools.cache
 def _basis_change() -> np.ndarray:
-    """O maps (1,0) -> (1,1)/sqrt2 and (0,1) -> (1,-1)/sqrt2; its own
-    inverse. Built on first use and read-only, as shared."""
+    """O as a numpy array, built on first use and read-only, as shared."""
     import numpy as np
 
-    o = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    o = np.array(_basis_change_rows())
     o.setflags(write=False)
     return o
 
@@ -70,21 +78,34 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _frozen_2x2(obj, name: str) -> np.ndarray:
-    """Store field `name` of frozen dataclass obj as a read-only complex 2x2 array."""
-    import numpy as np
-
-    m = np.asarray(getattr(obj, name), dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"need a 2x2 matrix, got shape {m.shape}")
-    m.setflags(write=False)
+def _frozen_2x2(obj, name: str) -> Matrix2:
+    """Store field `name` of frozen dataclass obj, any 2x2 array-like, as a
+    nested tuple of complex; the one 2x2 shape check."""
+    value = getattr(obj, name)
+    try:
+        m = tuple(tuple(map(complex, row)) for row in value)
+    except TypeError:  # not a sequence of sequences of numbers
+        m = ()
+    if len(m) != 2 or any(len(row) != 2 for row in m):
+        raise ValueError(f"need a 2x2 matrix, got {value!r}")
     object.__setattr__(obj, name, m)
     return m
 
 
+def _mul(a: Matrix2, b: Matrix2) -> Matrix2:
+    """The 2x2 product a b, each entry summed in row-by-column order."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
+
+
 @dataclass(frozen=True)
 class TwoByTwoOperator:
-    matrix: np.ndarray
+    """A 2x2 operator tagged with its basis; `matrix` holds its rows as a
+    nested tuple of complex (wrap it in numpy.asarray for array algebra)."""
+
+    matrix: Matrix2
     basis: Basis
 
     def __post_init__(self) -> None:
@@ -93,8 +114,8 @@ class TwoByTwoOperator:
     def rotated(self) -> "TwoByTwoOperator":
         """Conjugate by the basis-change unitary, flipping the tag; same type."""
         other = Basis.LOCALIZED if self.basis is Basis.ENERGY else Basis.ENERGY
-        o = _basis_change()
-        return type(self)(o @ self.matrix @ o, other)
+        o = _basis_change_rows()
+        return type(self)(_mul(_mul(o, self.matrix), o), other)
 
 
 @dataclass(frozen=True)
@@ -183,12 +204,10 @@ def perturbation_matrices(
     E' I, the perturbation W = H' - H, and the two rotated into the
     localized basis, where W~ is purely off-diagonal with entries
     hbar omega / 2."""
-    import numpy as np
-
     e_mean = 0.5 * (sys.e0 + sys.e1)
-    h = TwoByTwoOperator(np.diag([sys.e0, sys.e1]), Basis.ENERGY)
-    h_prime = TwoByTwoOperator(e_mean * np.eye(2), Basis.ENERGY)
-    w = TwoByTwoOperator(h_prime.matrix - h.matrix, Basis.ENERGY)
+    h = TwoByTwoOperator(((sys.e0, 0.0), (0.0, sys.e1)), Basis.ENERGY)
+    h_prime = TwoByTwoOperator(((e_mean, 0.0), (0.0, e_mean)), Basis.ENERGY)
+    w = TwoByTwoOperator(((e_mean - sys.e0, 0.0), (0.0, e_mean - sys.e1)), Basis.ENERGY)
     return h, h_prime, w, h.rotated(), w.rotated()
 
 

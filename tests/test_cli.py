@@ -164,20 +164,21 @@ def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
 def test_import_loads_no_scipy():
     # no runtime path imports scipy: neither the import nor any command, in
     # either format, nor grid_oracle.eigenvector load any of it.  numpy is
-    # imported only by the commands that compute with it, so neither the
-    # import nor the pure-math commands (dynamics and rabi among them, which
-    # build the dipole element and its Gauss-Legendre check), in either
-    # format, load any of it
+    # imported only by the grid checks, so neither the import nor the other
+    # commands (dynamics and rabi among them, which build the dipole element
+    # and its Gauss-Legendre check, and density), in either format, load any
+    # of it.  json is imported only for JSON output
     src = Path(__file__).resolve().parents[1] / "src"
     loaded = "sorted(m for m in sys.modules if m.partition('.')[0] == {!r})".format
-    code = f"import sys, dwell, dwell.cli; print({loaded('scipy')}, {loaded('numpy')})"
+    code = ("import sys, dwell, dwell.cli; "
+            f"print({loaded('scipy')}, {loaded('numpy')}, {loaded('json')})")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout == "[] []\n"
+    assert result.stdout == "[] [] []\n"
     code = ("import sys; from dwell.cli import main; "
             "light = [main([cmd, '--format', fmt, '--out', sys.argv[1]]) "
-            "for cmd in ('spectrum', 'table1', 'thermal', 'gap-sweep', 'dynamics', 'rabi') "
-            "for fmt in ('csv', 'json')]; "
+            "for cmd in ('spectrum', 'table1', 'thermal', 'gap-sweep', 'dynamics', 'rabi', "
+            "'density') for fmt in ('csv', 'json')]; "
             f"print(light, {loaded('numpy')}); "
             "grid = [main([*cmd, '--format', fmt, '--out', sys.argv[1]]) "
             "for cmd in (['spectrum', '--oracle'], ['oracle-check']) "
@@ -190,8 +191,7 @@ def test_import_loads_no_scipy():
             f"print(len(v), {loaded('scipy')})")
     result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert result.stdout == ("[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0] []\n[0, 0, 0, 0] []\n"
-                             "2002 []\n")
+    assert result.stdout == (f"{[0] * 14} []\n[0, 0, 0, 0] []\n2002 []\n")
 
 
 @pytest.mark.parametrize("t_max", [1.0, 2.3e-6, -7e-7, 0.0, 5e-324])

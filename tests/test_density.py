@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from dwell import (
+    BASIS_CHANGE,
     Basis,
     CompositeState,
     DensityMatrix,
     TwoByTwoOperator,
+    abs_det,
     change_basis,
     coherence_magnitude,
     expectation,
@@ -15,6 +17,7 @@ from dwell import (
     reduce_state,
     reference_states,
 )
+from dwell.density import _min_eigenvalue
 from dwell.errors import AmbiguousPurity, BasisMismatch
 
 RNG = np.random.default_rng(20240817)
@@ -46,6 +49,43 @@ def test_reference_states_determinants():
     assert dets[3] == pytest.approx(0.5, abs=1e-15)
     assert dets[4] == pytest.approx(0.5, abs=1e-15)
     assert dets[5] == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+def test_abs_det_and_purity_are_numpys_bits_on_the_reference_states():
+    # the density command prints both; on floats they round as numpy does
+    for _, state in reference_states():
+        c = np.asarray(state.coeffs)
+        rho = c.conj() @ c.T
+        assert abs_det(state).hex() == float(abs(np.linalg.det(c))).hex()
+        assert reduce_state(state).purity.hex() == float(np.real(np.trace(rho @ rho))).hex()
+
+
+def test_2x2_algebra_agrees_with_numpy():
+    rng = np.random.default_rng(31)
+    for _ in range(2000):
+        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        state = CompositeState(c / np.linalg.norm(c))
+        c = np.asarray(state.coeffs)
+        rho = reduce_state(state)
+        m = np.asarray(rho.matrix)
+        assert abs(abs_det(state) - abs(np.linalg.det(c))) <= 1e-15
+        assert abs(rho.purity - np.trace(m @ m).real) <= 1e-15
+        assert abs(_min_eigenvalue(rho.matrix) - np.linalg.eigvalsh(m).min()) <= 1e-15
+        f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        f = f + f.conj().T
+        value = expectation(rho, TwoByTwoOperator(f, Basis.ENERGY))
+        assert abs(value - np.trace(f @ m).real) <= 1e-15
+        assert np.max(np.abs(np.asarray(rho.rotated().matrix)
+                             - BASIS_CHANGE @ m @ BASIS_CHANGE)) <= 1e-15
+
+
+def test_abs_det_of_a_subnormal_pivot():
+    # 1/pivot overflows, so the pivot divides instead, as in reference LAPACK
+    for c, det in (([[1e-320, 1.0], [0.0, 0.0]], 0.0),
+                   ([[5e-324, 1.0], [5e-324, 0.0]], 5e-324),
+                   ([[1e-320, 0.6], [1e-321, 0.8]], 7.4e-321)):
+        assert abs_det(CompositeState(c)) == pytest.approx(det, abs=2e-323)
+    assert is_pure(CompositeState([[1e-320, 1.0], [0.0, 0.0]]))
 
 
 def test_purity_criteria_agree():
@@ -137,7 +177,7 @@ def test_expectation_brute_force_sum():
         f = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
         f = f + f.conj().T
         value = expectation(rho, TwoByTwoOperator(f, Basis.ENERGY))
-        brute = sum(f[jp, j] * rho.matrix[j, jp] for j in range(2) for jp in range(2))
+        brute = sum(f[jp, j] * rho.matrix[j][jp] for j in range(2) for jp in range(2))
         assert value == pytest.approx(brute.real, abs=1e-12)
         assert abs(brute.imag) <= 1e-12
 
@@ -175,7 +215,7 @@ def test_change_basis_round_trip_and_purity():
         rotated = change_basis(rho, Basis.LOCALIZED)
         assert abs(rotated.purity - rho.purity) <= 1e-12
         back = change_basis(rotated, Basis.ENERGY)
-        assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-14
+        assert np.max(np.abs(np.asarray(back.matrix) - np.asarray(rho.matrix))) <= 1e-14
 
 
 def test_change_basis_noop():
@@ -200,6 +240,23 @@ def test_composite_state_validation():
         CompositeState(np.eye(2))  # norm 2, not 1
     with pytest.raises(ValueError):
         CompositeState(np.ones((2, 3)) / math.sqrt(6.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_composite_state_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError):
+        CompositeState(np.array([[bad, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        CompositeState.from_terms({("+", "alpha"): bad})
+    with pytest.raises(ValueError):
+        CompositeState.from_terms({("+", "alpha"): 1.0, ("-", "beta"): bad})
+
+
+def test_from_terms_names_an_unknown_label():
+    with pytest.raises(ValueError, match=r"\('\+', 'x'\).*\['alpha', 'beta'\]"):
+        CompositeState.from_terms({("+", "x"): 1.0})
+    with pytest.raises(ValueError, match=r"\('0', 'alpha'\).*\['\+', '-'\]"):
+        CompositeState.from_terms({("0", "alpha"): 1.0})
 
 
 def test_density_matrix_validation():

@@ -96,8 +96,8 @@ def test_perturbation_matrices(two_level):
                        rtol=1e-14)
     # the rotated perturbation is purely off-diagonal with equal entries
     assert np.allclose(np.diag(w_rot.matrix), 0.0, atol=1e-30)
-    assert w_rot.matrix[0, 1] == pytest.approx(hbar_omega / 2.0, rel=1e-14)
-    assert w_rot.matrix[1, 0] == pytest.approx(hbar_omega / 2.0, rel=1e-14)
+    assert w_rot.matrix[0][1] == pytest.approx(hbar_omega / 2.0, rel=1e-14)
+    assert w_rot.matrix[1][0] == pytest.approx(hbar_omega / 2.0, rel=1e-14)
 
 
 def test_rotation_involutive(two_level):
