@@ -15,9 +15,9 @@ _EXPORTS = {name: module for module, names in {
     "density": ("CompositeState", "DensityMatrix", "abs_det", "change_basis",
                 "coherence_magnitude", "expectation", "is_pure", "reduce_state",
                 "reference_states"),
-    "dynamics": ("BASIS_CHANGE", "Basis", "HarmonicDrive", "TwoByTwoOperator",
-                 "TwoLevelSystem", "flip_flop", "perturbation_matrices", "rabi_localized",
-                 "rabi_off_resonance", "transition_amplitude", "x_expectation"),
+    "dynamics": ("Basis", "HarmonicDrive", "TwoByTwoOperator", "TwoLevelSystem", "flip_flop",
+                 "perturbation_matrices", "rabi_localized", "rabi_off_resonance",
+                 "transition_amplitude", "x_expectation"),
     "grid_oracle": ("GridHamiltonian", "aligned_size", "build_grid_hamiltonian",
                     "eigenvector", "lowest_eigenvalues"),
     "spectrum": ("BoundReport", "EnergyLevel", "Gap01", "GapSearchResult", "SpectrumResult",
@@ -27,10 +27,9 @@ _EXPORTS = {name: module for module, names in {
                 "thermal_report", "wien_peak_frequency"),
     "units": ("CODATA_CONSTANTS", "PAPER_CONSTANTS", "PhysicalConstants", "ScaledWell",
               "TABLE1_B_VALUES", "TABLE1_WELL", "WellSpec", "barrier_bound",
-              "constants_from_env", "to_dimensionless"),
+              "to_dimensionless"),
     "wavefunction": ("LocalizedState", "PiecewiseEigenfunction", "build_eigenfunction",
-                     "count_nodes", "dipole_matrix_element", "localized_state_value",
-                     "position_matrix_element"),
+                     "dipole_matrix_element", "position_matrix_element"),
 }.items() for name in names}
 
 __all__ = list(_EXPORTS)

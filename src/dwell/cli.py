@@ -12,7 +12,7 @@ Exit codes, one per channel:
   0  output written, no error record;
   1  output written with an error record (a solver failure, a failed sweep
      row or oracle check), or nothing written and an 'error: ValueError: ...'
-     line on stderr (invalid well, grid or environment parameters).  A
+     line on stderr (invalid well, grid, sample or drive parameters).  A
      solver failure reaches main as a DwellError, which main alone turns
      into the error record; rows the command wrote before it stand, such as
      thermal's T_B row;
@@ -44,8 +44,8 @@ from . import thermal as thermal_mod
 from .errors import AmbiguousPurity, ConfigError, DwellError
 from .spectrum import (SpectrumResult, find_b_for_gap, gap_sweep, level_count,
                        solve_below_barrier)
-from .units import (CODATA_CONSTANTS, TABLE1_B_VALUES, TABLE1_K, TABLE1_WELL, PhysicalConstants,
-                    WellSpec, constants_from_env, to_dimensionless)
+from .units import (CODATA_CONSTANTS, PAPER_CONSTANTS, TABLE1_B_VALUES, TABLE1_K, TABLE1_WELL,
+                    WellSpec, to_dimensionless)
 
 __all__ = ["main", "RunConfig", "table1_rows"]
 
@@ -71,12 +71,14 @@ def parse_quantity(text: str, kind: str, where: str = "") -> float:
         raise ConfigError(f"cannot parse quantity {text!r}{where}")
     value = float(match.group(1))
     unit = match.group(2)
-    if not unit:
-        return value
-    table = _UNIT_TABLES[kind]
-    if unit not in table:
-        raise ConfigError(f"unknown {kind} unit {unit!r} in {text!r}{where}")
-    return value * table[unit]
+    if unit:
+        table = _UNIT_TABLES[kind]
+        if unit not in table:
+            raise ConfigError(f"unknown {kind} unit {unit!r} in {text!r}{where}")
+        value *= table[unit]
+    if not math.isfinite(value):
+        raise ConfigError(f"quantity {text!r}{where} is not finite")
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ class RunConfig:
     a: float = 1e-6
     b: float = 1e-7
     k: float = 2e-24
-    m: float | None = None  # None: the constant set's electron mass
+    m: float = PAPER_CONSTANTS.m_e
     b_values: tuple[float, ...] | None = None  # comma lists (gap-sweep)
     format: str = "csv"
     out: str | None = None
@@ -97,11 +99,9 @@ class RunConfig:
     delta: float | None = None
     drive_amp: float | None = None
     drive_omega: float | None = None
-    constants: PhysicalConstants = field(default_factory=constants_from_env)
 
     def well(self) -> WellSpec:
-        mass = self.m if self.m is not None else self.constants.m_e
-        return WellSpec(self.a, self.b, self.k, mass, self.constants)
+        return WellSpec(self.a, self.b, self.k, self.m)
 
 
 # The run options: config key -> (kind, flag help).  The kind is a unit
@@ -351,14 +351,15 @@ def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
 
 
 def cmd_rabi(cfg: RunConfig, report: Report) -> None:
-    from .dynamics import HarmonicDrive, TwoLevelSystem, rabi_localized, rabi_off_resonance
+    from .dynamics import (HarmonicDrive, TwoLevelSystem, _rabi_rates, rabi_localized,
+                           rabi_off_resonance)
 
     report.columns = ["t_s", "p0", "p1", "p_l", "p_r"]
     sys_ = TwoLevelSystem.from_well(cfg.well())
     amp = cfg.drive_amp if cfg.drive_amp is not None else 0.1 * sys_.hbar * sys_.omega
     omega_prime = cfg.drive_omega if cfg.drive_omega is not None else sys_.omega
     drive = HarmonicDrive(amp, omega_prime)
-    r0 = math.hypot(amp / sys_.hbar, (omega_prime - sys_.omega) / 2.0)
+    r0 = _rabi_rates(sys_, drive, omega_prime - sys_.omega)[1]
     t_max = cfg.t_max if cfg.t_max is not None else (2.0 * math.pi / r0 if r0 > 0 else 1.0)
     for t in _time_samples(t_max, cfg.t_steps):
         report.rows.append([t, *rabi_off_resonance(sys_, drive, t),
@@ -445,9 +446,7 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dwell",
-        description="Double square well spectra, tunneling dynamics, and coherence. "
-                    "Set DWELL_CONSTANTS=paper|codata to pick the electron-mass "
-                    "convention (default paper; table1 always uses its calibrated set).")
+        description="Double square well spectra, tunneling dynamics, and coherence.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="flat key = value file; flags override")
     for key, (kind, help_) in _OPTIONS.items():

@@ -69,10 +69,14 @@ class CompositeState:
                                  f"{list(cols)}")
             c[rows[j]][cols[k]] += amp
         norm2 = _norm2(c)
-        if not math.isfinite(norm2):
-            raise ValueError(f"cannot normalize: sum |amplitude|^2 = {norm2!r}")
-        if norm2 == 0:
-            raise ValueError("zero state")
+        if not sys.float_info.min <= norm2 < math.inf:  # squares overflow or lose bits
+            big = max(abs(x) for row in c for x in row)
+            if big == 0:
+                raise ValueError("zero state")
+            c = [[x / big for x in row] for row in c]
+            norm2 = _norm2(c)
+            if not math.isfinite(norm2):
+                raise ValueError("cannot normalize: an amplitude is not finite")
         scale = 1.0 / math.sqrt(norm2)  # numpy divides complex by real as times 1/norm
         return cls(tuple(tuple(x * scale for x in row) for row in c))
 
@@ -154,15 +158,18 @@ def reduce_state(state: CompositeState) -> DensityMatrix:
 
 
 def expectation(rho: DensityMatrix, observable: TwoByTwoOperator) -> float:
-    """<f> = Tr(f rho); the operands must carry the same basis tag."""
+    """<f> = Tr(f rho); the operands must carry the same basis tag.  The
+    observable's checks scale with its largest |entry|, so they hold at
+    any energy scale."""
     if rho.basis is not observable.basis:
         raise BasisMismatch(
             f"density matrix in {rho.basis.value}, observable in {observable.basis.value}")
-    if not _is_hermitian(observable.matrix, 1e-10):
+    scale = max(abs(x) for row in observable.matrix for x in row)
+    if not _is_hermitian(observable.matrix, 1e-10 * scale):
         raise ValueError("observable must be Hermitian")
     (a, _), (_, d) = _mul(observable.matrix, rho.matrix)
     value = a + d
-    if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
+    if abs(value.imag) > 1e-12 * max(scale, abs(value.real)):
         raise ValueError(f"expectation has a stray imaginary part: {value!r}")
     return value.real
 

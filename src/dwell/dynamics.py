@@ -8,15 +8,14 @@ inconsistent): omega = (E1 - E0)/hbar and Omega = (E0 + E1)/(2 hbar).
 
 The module loads no numpy: TwoLevelSystem.from_well, the closed-form
 traces at a Python number and the 2x2 operators run on `math` and Python
-complex, and BASIS_CHANGE, the closed forms at arrays and the RK4 oracle
-import numpy when called.
+complex, and the closed forms at arrays and the RK4 oracle import numpy
+when called.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -33,7 +32,6 @@ if TYPE_CHECKING:
 __all__ = [
     "Basis",
     "TwoByTwoOperator",
-    "BASIS_CHANGE",
     "TwoLevelSystem",
     "HarmonicDrive",
     "x_expectation",
@@ -55,27 +53,10 @@ class Basis(enum.Enum):
     LOCALIZED = "localized"  # {psi_L, psi_R}
 
 
-def _basis_change_rows() -> Matrix2:
-    """O maps (1,0) -> (1,1)/sqrt2 and (0,1) -> (1,-1)/sqrt2; its own inverse."""
-    s = 1.0 / math.sqrt(2.0)
-    return ((s, s), (s, -s))
-
-
-@functools.cache
-def _basis_change() -> np.ndarray:
-    """O as a numpy array, built on first use and read-only, as shared."""
-    import numpy as np
-
-    o = np.array(_basis_change_rows())
-    o.setflags(write=False)
-    return o
-
-
-def __getattr__(name: str):
-    # BASIS_CHANGE is served on first read, so importing the module loads no numpy
-    if name == "BASIS_CHANGE":
-        return _basis_change()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the basis change O maps (1,0) -> (1,1)/sqrt2 and (0,1) -> (1,-1)/sqrt2;
+# it is its own inverse
+_S = 1.0 / math.sqrt(2.0)
+_BASIS_CHANGE = ((_S, _S), (_S, -_S))
 
 
 def _frozen_2x2(obj, name: str) -> Matrix2:
@@ -114,8 +95,7 @@ class TwoByTwoOperator:
     def rotated(self) -> "TwoByTwoOperator":
         """Conjugate by the basis-change unitary, flipping the tag; same type."""
         other = Basis.LOCALIZED if self.basis is Basis.ENERGY else Basis.ENERGY
-        o = _basis_change_rows()
-        return type(self)(_mul(_mul(o, self.matrix), o), other)
+        return type(self)(_mul(_mul(_BASIS_CHANGE, self.matrix), _BASIS_CHANGE), other)
 
 
 @dataclass(frozen=True)
@@ -172,8 +152,9 @@ class HarmonicDrive:
     omega_prime: float
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0 or self.omega_prime < 0:
-            raise ValueError("drive amplitude and frequency must be >= 0")
+        if not (0.0 <= self.amplitude < math.inf and 0.0 <= self.omega_prime < math.inf):
+            raise ValueError(f"drive amplitude and frequency must be finite and >= 0, "
+                             f"got {self.amplitude!r}, {self.omega_prime!r}")
 
 
 def _on(t):
@@ -220,10 +201,21 @@ def flip_flop(sys: TwoLevelSystem, phi: float, t):
     return p_l, 1.0 - p_l
 
 
-def _rabi_transfer(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float, t):
-    """(R1/R0)^2 sin^2(R0 t) with R1 = A/hbar, R0 = sqrt(R1^2 + (detuning/2)^2)."""
+def _rabi_rates(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float
+                ) -> tuple[float, float]:
+    """(R1, R0) with R1 = A/hbar and R0 = sqrt(R1^2 + (detuning/2)^2); raises
+    ValueError when R0 overflows, where (R1/R0)^2 would be NaN."""
     r1 = drive.amplitude / sys.hbar
     r0 = math.hypot(r1, detuning / 2.0)
+    if not math.isfinite(r0):
+        raise ValueError(f"Rabi rate overflows: A/hbar = {r1!r} rad/s, "
+                         f"detuning = {detuning!r} rad/s")
+    return r1, r0
+
+
+def _rabi_transfer(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float, t):
+    """(R1/R0)^2 sin^2(R0 t) with R1 = A/hbar, R0 = sqrt(R1^2 + (detuning/2)^2)."""
+    r1, r0 = _rabi_rates(sys, drive, detuning)
     xp, t = _on(t)
     if r0 == 0.0:
         return 0.0 if xp is math else xp.zeros_like(t)
@@ -280,9 +272,8 @@ _RK4_BATCH = 4096  # substeps whose stage matrices are read in one call
 def rk4_step_for(sys: TwoLevelSystem, drive: HarmonicDrive) -> float:
     """Fixed RK4 step resolving the fastest of omega, omega', R0 with a
     factor-200 margin."""
-    r1 = drive.amplitude / sys.hbar
-    r0 = math.hypot(r1, (drive.omega_prime - sys.omega) / 2.0)
-    r0p = math.hypot(r1, drive.omega_prime / 2.0)
+    r0 = _rabi_rates(sys, drive, drive.omega_prime - sys.omega)[1]
+    r0p = _rabi_rates(sys, drive, drive.omega_prime)[1]
     rates = [sys.omega, drive.omega_prime, r0, r0p]
     fastest = max(r for r in rates if r > 0)
     return 2.0 * math.pi / fastest / 200.0

@@ -63,7 +63,6 @@ __all__ = [
     "SweepRow",
     "GapSearchResult",
     "condition_functions",
-    "cot_squared",
     "solve_below_barrier",
     "level_count",
     "verify_bounds",
@@ -149,12 +148,6 @@ def condition_functions(eps: float, kappa: float, lam: float) -> tuple[float, fl
     u = math.sqrt(kappa - eps)
     t = math.tanh(math.pi * lam * u)
     return -s * cot, u * t, u / t
-
-
-def cot_squared(eps: float) -> float:
-    """cot^2(pi sqrt(eps)); monotonically increasing on (1/4, 1)."""
-    _, _, cot = _cot(eps)
-    return cot * cot
 
 
 def _barrier_term(u: float, lam: float, parity: Parity) -> tuple[float, float]:
@@ -629,8 +622,8 @@ def find_b_for_gap(delta: float, template: WellSpec) -> GapSearchResult:
     """Walk the grid b_i = b0 * 2^(i/8) from the template's b0 until
     gap01's splitting drops below delta, reading its DegenerateGap as gap 0
     unless delta < 1e-15 E1; NotReached past b = 100 a."""
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     if not template.big_enough:
         raise ValueError("template must be in the deep-barrier regime k >= 10 B")
     cap = _GAP_CAP * template.a
@@ -647,7 +640,8 @@ def find_b_for_gap(delta: float, template: WellSpec) -> GapSearchResult:
             gap = 0.0
         if gap < delta:
             even, odd = pair.levels
-            cot2 = cot_squared(even.eps)
+            cot = _cot(even.eps)[2]
+            cot2 = cot * cot
             bound = 4.0 * pair.well.kappa - 1.0
             return GapSearchResult(b, gap, even.eps, odd.eps, cot2, bound,
                                    cot2 < bound, steps)

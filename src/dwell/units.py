@@ -13,7 +13,6 @@ so that root-finding happens on O(1) numbers instead of 1e-26 J.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 from .errors import NonFiniteScaling
@@ -22,7 +21,6 @@ __all__ = [
     "PhysicalConstants",
     "PAPER_CONSTANTS",
     "CODATA_CONSTANTS",
-    "constants_from_env",
     "WellSpec",
     "ScaledWell",
     "barrier_bound",
@@ -38,8 +36,8 @@ class PhysicalConstants:
     """SI constants entering the solver.
 
     hbar: reduced Planck constant (J s)
-    m_e: electron rest mass (kg); the "paper" set keeps the 2-digit
-         9.1e-31 kg, the "codata" set the full CODATA 2018 value
+    m_e: electron rest mass (kg); PAPER_CONSTANTS keeps the paper's
+         2-digit 9.1e-31 kg, CODATA_CONSTANTS the full CODATA 2018 value
     c: speed of light (m/s)
     b_w: Wien displacement constant (m K)
     """
@@ -58,18 +56,6 @@ class PhysicalConstants:
 
 PAPER_CONSTANTS = PhysicalConstants()
 CODATA_CONSTANTS = PhysicalConstants(m_e=9.1093837015e-31)
-
-_CONSTANT_SETS = {"paper": PAPER_CONSTANTS, "codata": CODATA_CONSTANTS}
-
-
-def constants_from_env() -> PhysicalConstants:
-    """Pick the electron-mass convention from DWELL_CONSTANTS (default paper)."""
-    mode = os.environ.get("DWELL_CONSTANTS", "paper").strip().lower()
-    try:
-        return _CONSTANT_SETS[mode]
-    except KeyError:
-        raise ValueError(f"DWELL_CONSTANTS must be 'paper' or 'codata', got {mode!r}") from None
-
 
 @dataclass(frozen=True)
 class WellSpec:

@@ -45,8 +45,6 @@ __all__ = [
     "build_eigenfunction",
     "position_matrix_element",
     "dipole_matrix_element",
-    "localized_state_value",
-    "count_nodes",
 ]
 
 _MATCH_TOL = 1e-9
@@ -320,25 +318,10 @@ class LocalizedState:
             raise ValueError("localized states need an opposite-parity pair")
 
     def __call__(self, x, t: float):
-        return localized_state_value(self, x, t)
-
-
-def localized_state_value(state: LocalizedState, x, t: float):
-    """(1/sqrt2) [exp(-i E0 t/hbar) psi0 +- exp(-i E1 t/hbar) psi1]; a
-    complex number at a Python number x, else a complex array."""
-    hbar = state.psi0.hbar
-    sign = 1.0 if state.side == "L" else -1.0
-    phase0 = cmath.exp(-1j * state.psi0.level.energy * t / hbar)
-    phase1 = cmath.exp(-1j * state.psi1.level.energy * t / hbar)
-    return (phase0 * state.psi0(x) + sign * phase1 * state.psi1(x)) / math.sqrt(2.0)
-
-
-def count_nodes(psi: PiecewiseEigenfunction) -> int:
-    """Interior sign changes over 10 000 uniform points (walls excluded)."""
-    import numpy as np
-
-    edge = psi.a + psi.b
-    x = np.linspace(-edge, edge, 10_002)[1:-1]
-    values = psi(x)
-    values = values[np.abs(values) > 1e-30]
-    return int(np.sum(np.sign(values[1:]) != np.sign(values[:-1])))
+        """(1/sqrt2) [exp(-i E0 t/hbar) psi0 +- exp(-i E1 t/hbar) psi1]; a
+        complex number at a Python number x, else a complex array."""
+        hbar = self.psi0.hbar
+        sign = 1.0 if self.side == "L" else -1.0
+        phase0 = cmath.exp(-1j * self.psi0.level.energy * t / hbar)
+        phase1 = cmath.exp(-1j * self.psi1.level.energy * t / hbar)
+        return (phase0 * self.psi0(x) + sign * phase1 * self.psi1(x)) / math.sqrt(2.0)

@@ -28,7 +28,6 @@ from dwell import (
     flip_flop,
     global_temperature_bound,
     is_pure,
-    localized_state_value,
     lowest_eigenvalues,
     rabi_localized,
     rabi_off_resonance,
@@ -207,8 +206,8 @@ def test_criterion_5_dynamics(two_level, table_pair):
     x = np.linspace(-psi0.a - psi0.b, psi0.a + psi0.b, 50)
     replica = 0.0
     for t in np.linspace(0.0, 4.0 * math.pi / omega, 50):
-        lhs = localized_state_value(left, x, t + math.pi / omega)
-        rhs = factor * localized_state_value(right, x, t)
+        lhs = left(x, t + math.pi / omega)
+        rhs = factor * right(x, t)
         replica = max(replica, float(np.max(np.abs(lhs - rhs))) * math.sqrt(psi0.a))
 
     ok = (conserved <= 1e-12 and certainty_ok and rabi_err <= 1e-6

@@ -12,7 +12,8 @@ import pytest
 import dwell.cli
 import dwell.grid_oracle
 import dwell.spectrum
-from dwell import PAPER_CONSTANTS, TABLE1_B_VALUES, WellSpec, solve_below_barrier, to_dimensionless
+from dwell import (CODATA_CONSTANTS, PAPER_CONSTANTS, TABLE1_B_VALUES, WellSpec,
+                   solve_below_barrier, to_dimensionless)
 from dwell.cli import (
     _line_fit,
     _time_samples,
@@ -44,6 +45,29 @@ def test_parse_quantity_units():
         parse_quantity("10 parsec", "length")
     with pytest.raises(ConfigError):
         parse_quantity("abc", "energy")
+    for text, kind in (("1e400", "energy"), ("-1e400", "length"), ("1.7e308GHz", "frequency")):
+        with pytest.raises(ConfigError, match="is not finite"):
+            parse_quantity(text, kind)
+
+
+@pytest.mark.parametrize("flag", ["--drive-amp", "--drive-omega", "--t-max", "--delta"])
+def test_an_overflowing_flag_is_a_config_error(flag, capsys):
+    command = "gap-sweep" if flag == "--delta" else "rabi"
+    code = main([command, flag, "1e400"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: quantity '1e400' (flag) is not finite\n"
+
+
+def test_rabi_rejects_a_drive_rate_that_overflows(capsys):
+    # A/hbar overflows to inf, so (R1/R0)^2 would be NaN in every row
+    code = main(["rabi", "--drive-amp", "1e300", "--t-steps", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValueError: Rabi rate overflows")
+    assert captured.err.count("\n") == 1
 
 
 def test_table1_shape_and_values(capsys):
@@ -376,9 +400,8 @@ def test_thermal_keeps_t_bound_when_the_solver_fails(capsys, monkeypatch):
                    "# error: injected failure\n")
 
 
-def test_thermal_reads_pairs_0_and_1_of_a_well_whose_pair_438_fails(capsys, monkeypatch):
+def test_thermal_reads_pairs_0_and_1_of_a_well_whose_pair_438_fails(capsys):
     # the spectrum-deep seed-22 well, whose pair 438 the solver inverts
-    monkeypatch.delenv("DWELL_CONSTANTS", raising=False)
     a, b, k = 1e-6, 1.4441382492667404e-08, 1.5004548177875203e-20
     well = to_dimensionless(WellSpec(a, b, k, PAPER_CONSTANTS.m_e))
     assert (well.kappa, well.lam) == (248795.34095324992, 0.014441382492667404)
@@ -439,12 +462,44 @@ def test_invalid_well_parameter_reports_cleanly(capsys):
     assert "error" in err
 
 
-def test_env_var_selects_mass(capsys, monkeypatch):
-    monkeypatch.setenv("DWELL_CONSTANTS", "codata")
-    _, out_codata = run_cli(["spectrum"], capsys)
-    monkeypatch.setenv("DWELL_CONSTANTS", "paper")
-    _, out_paper = run_cli(["spectrum"], capsys)
-    assert out_codata != out_paper
+def test_m_flag_selects_the_codata_mass(capsys):
+    _, paper = run_cli(["spectrum", "--format", "json"], capsys)
+    _, codata = run_cli(["spectrum", "--m", "9.1093837015e-31kg", "--format", "json"], capsys)
+    assert codata != paper
+    for out, constants in ((paper, PAPER_CONSTANTS), (codata, CODATA_CONSTANTS)):
+        levels = solve_below_barrier(to_dimensionless(
+            WellSpec(1e-6, 1e-7, 2e-24, constants.m_e))).levels
+        assert [row[2] for row in json.loads(out)["rows"]] == [lv.energy for lv in levels]
+
+
+class _RecordingEnviron(dict):
+    """A copy of os.environ that records every key read from it."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("command", sorted(dwell.cli._COMMANDS))
+def test_no_command_reads_an_environment_variable_of_its_own(command, capsys, monkeypatch):
+    # --m is the one input of the mass: no DWELL_* variable is read, so
+    # setting one changes no output
+    environ = _RecordingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", environ)
+    run_cli([command, "--format", "json"], capsys)
+    assert sorted(key for key in environ.read if key.upper().startswith("DWELL")) == []
 
 
 def _readme_cli_examples():
@@ -467,7 +522,6 @@ def test_readme_examples_cover_every_command():
 @pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
 def test_readme_example_emits_plain_cells(argv, fmt, capsys, monkeypatch):
     # every row cell is a plain Python value, so emit needs no numpy fallback
-    monkeypatch.delenv("DWELL_CONSTANTS", raising=False)
     reports = []
     emit = dwell.cli.emit
     monkeypatch.setattr(dwell.cli, "emit",

@@ -115,7 +115,6 @@ def test_golden_matrix_matches_argvs(goldens):
 
 @pytest.mark.parametrize("argv", ARGVS, ids=_case_id)
 def test_cli_output_is_byte_identical(argv, goldens, capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("DWELL_CONSTANTS", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     _write_config_files(tmp_path)
@@ -128,7 +127,6 @@ def test_cli_output_is_byte_identical(argv, goldens, capsys, monkeypatch, tmp_pa
 
 
 def _record() -> None:
-    os.environ.pop("DWELL_CONSTANTS", None)
     os.environ["COLUMNS"] = "80"
     cases = []
     with tempfile.TemporaryDirectory() as scratch:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dwell import (
-    BASIS_CHANGE,
     Basis,
     CompositeState,
     DensityMatrix,
@@ -62,6 +61,7 @@ def test_abs_det_and_purity_are_numpys_bits_on_the_reference_states():
 
 def test_2x2_algebra_agrees_with_numpy():
     rng = np.random.default_rng(31)
+    o = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)  # the basis change
     for _ in range(2000):
         c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         state = CompositeState(c / np.linalg.norm(c))
@@ -76,7 +76,7 @@ def test_2x2_algebra_agrees_with_numpy():
         value = expectation(rho, TwoByTwoOperator(f, Basis.ENERGY))
         assert abs(value - np.trace(f @ m).real) <= 1e-15
         assert np.max(np.abs(np.asarray(rho.rotated().matrix)
-                             - BASIS_CHANGE @ m @ BASIS_CHANGE)) <= 1e-15
+                             - o @ m @ o)) <= 1e-15
 
 
 def test_abs_det_of_a_subnormal_pivot():
@@ -250,6 +250,39 @@ def test_composite_state_rejects_non_finite_coefficients(bad):
         CompositeState.from_terms({("+", "alpha"): bad})
     with pytest.raises(ValueError):
         CompositeState.from_terms({("+", "alpha"): 1.0, ("-", "beta"): bad})
+
+
+def test_from_terms_normalizes_at_any_amplitude_scale():
+    # the squares of 1e200 overflow and those of 1e-200 underflow
+    for amp in (1e200, 1e-200, 1e200j):
+        assert CompositeState.from_terms({("+", "alpha"): amp}).coeffs == (
+            (amp / abs(amp), 0j), (0j, 0j))
+    terms = {("+", "alpha"): 0.6, ("-", "alpha"): -0.48j, ("-", "beta"): 0.64}
+    unit = CompositeState.from_terms(terms).coeffs
+    for k in range(-300, 301, 20):
+        scaled = CompositeState.from_terms({key: v * 10.0**k for key, v in terms.items()})
+        assert max(abs(a - b) for ra, rb in zip(unit, scaled.coeffs)
+                   for a, b in zip(ra, rb)) <= 1e-15
+    with pytest.raises(ValueError, match="zero state"):
+        CompositeState.from_terms({("+", "alpha"): 0.0})
+
+
+def test_expectation_checks_the_observable_at_its_own_scale():
+    rho = DensityMatrix([[0.5, 0.5j], [-0.5j, 0.5]], Basis.ENERGY)
+    assert expectation(rho, TwoByTwoOperator([[0, 0], [0, 0]], Basis.ENERGY)) == 0.0
+    rng = np.random.default_rng(27)
+    f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    f = f + f.conj().T
+    unit = expectation(rho, TwoByTwoOperator(f, Basis.ENERGY))
+    skew = np.array([[1.0, 1.0 + 1e-11], [1.0, 1.0]])  # stray imaginary part 5e-12
+    for k in range(-300, 301, 20):
+        scale = 10.0**k
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            expectation(rho, TwoByTwoOperator([[0, scale], [0, 0]], Basis.ENERGY))
+        with pytest.raises(ValueError, match="stray imaginary part"):
+            expectation(rho, TwoByTwoOperator(skew * scale, Basis.ENERGY))
+        value = expectation(rho, TwoByTwoOperator(f * scale, Basis.ENERGY))
+        assert abs(value - unit * scale) <= 1e-15 * scale * np.max(np.abs(f))
 
 
 def test_from_terms_names_an_unknown_label():

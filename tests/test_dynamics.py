@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dwell import (
-    BASIS_CHANGE,
     Basis,
     HarmonicDrive,
     TwoByTwoOperator,
@@ -46,19 +45,15 @@ def test_x_expectation_period_matches_gap(two_level, table_spectrum):
 
 
 def test_basis_change_unitary():
-    assert np.allclose(BASIS_CHANGE @ BASIS_CHANGE.conj().T, np.eye(2), atol=1e-15)
-    assert np.allclose(BASIS_CHANGE @ BASIS_CHANGE, np.eye(2), atol=1e-15)
-    assert np.allclose(BASIS_CHANGE @ np.array([1.0, 0.0]),
-                       np.array([1.0, 1.0]) / math.sqrt(2.0), atol=1e-16)
-    assert np.allclose(BASIS_CHANGE @ np.array([0.0, 1.0]),
-                       np.array([1.0, -1.0]) / math.sqrt(2.0), atol=1e-16)
-
-
-def test_basis_change_is_one_read_only_array():
-    import dwell.dynamics as dynamics
-
-    assert dynamics.BASIS_CHANGE is BASIS_CHANGE
-    assert not BASIS_CHANGE.flags.writeable
+    # rotated conjugates by O, which is unitary, its own inverse and sends
+    # (1,0) -> (1,1)/sqrt2 and (0,1) -> (1,-1)/sqrt2
+    o = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    assert np.allclose(o @ o.conj().T, np.eye(2), atol=1e-15)
+    assert np.allclose(o @ o, np.eye(2), atol=1e-15)
+    for m in (np.diag([1.0, 0.0]), np.array([[0.3, 1j], [-1j, 2.0]])):
+        op = TwoByTwoOperator(m, Basis.ENERGY)
+        assert np.allclose(np.asarray(op.rotated().matrix), o @ m @ o, atol=1e-15)
+        assert np.allclose(np.asarray(op.rotated().rotated().matrix), m, atol=1e-15)
 
 
 @pytest.mark.parametrize("drive", [HarmonicDrive(3e-30, 6e6), HarmonicDrive(0.0, 0.0)])
@@ -157,6 +152,24 @@ def test_rabi_no_drive(two_level):
     t = np.linspace(0.0, 10.0 / two_level.omega, 50)
     p0, p1 = rabi_off_resonance(two_level, drive, t)
     assert np.all(p1 == 0.0) and np.all(p0 == 1.0)
+
+
+@pytest.mark.parametrize("amplitude, omega_prime", [(math.inf, 1.0), (1.0, math.inf),
+                                                    (math.nan, 1.0), (1.0, math.nan),
+                                                    (-1.0, 1.0), (1.0, -1.0)])
+def test_harmonic_drive_rejects_a_non_finite_or_negative_value(amplitude, omega_prime):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        HarmonicDrive(amplitude, omega_prime)
+
+
+def test_a_rabi_rate_that_overflows_raises(two_level):
+    # A/hbar overflows to inf, where (R1/R0)^2 is NaN and the RK4 step is 0
+    drive = HarmonicDrive(1e300, two_level.omega)
+    for call in (rabi_off_resonance, rabi_localized):
+        with pytest.raises(ValueError, match="Rabi rate overflows"):
+            call(two_level, drive, 0.0)
+    with pytest.raises(ValueError, match="Rabi rate overflows"):
+        rk4_step_for(two_level, drive)
 
 
 def test_rabi_half_amplitude_at_twice_rate_detuning(two_level):

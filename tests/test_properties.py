@@ -92,26 +92,49 @@ def _run_main(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _quantity(lo: float):
+    """An optional flag value: absent, log-uniform from 10^lo up to 1e300, or
+    the text 1e400, which parses to inf."""
+    return st.one_of(st.none(), _log_uniform(lo, 300.0).map(repr), st.just("1e400"))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(command=st.sampled_from(sorted(_COMMANDS)), a=_log_uniform(-10.0, -3.0),
        b=_log_uniform(-11.0, -4.0), k=_log_uniform(-30.0, -16.0), m=_log_uniform(-31.0, -24.0),
        grid_n=st.integers(1, 3000), t_steps=st.integers(1, 50), oracle=st.booleans(),
-       fmt=st.sampled_from(["csv", "json"]))
+       fmt=st.sampled_from(["csv", "json"]), t_max=_quantity(-15.0),
+       drive_amp=_quantity(-40.0), drive_omega=_quantity(-3.0), delta=_quantity(-40.0))
+# A/hbar overflows to inf, where (R1/R0)^2 would fill every row with nan
+@example(command="rabi", a=1e-6, b=1e-7, k=2e-24, m=9.1e-31, grid_n=2000, t_steps=3,
+         oracle=False, fmt="csv", t_max=None, drive_amp="1e300", drive_omega=None, delta=None)
 def test_every_command_ends_in_an_exit_channel_and_repeats_itself(
-        command, a, b, k, m, grid_n, t_steps, oracle, fmt):
+        command, a, b, k, m, grid_n, t_steps, oracle, fmt, t_max, drive_amp, drive_omega, delta):
     # kappa <= 1e6 bounds the work of the commands that solve every level
     assume(k <= 1e6 * WellSpec(a, b, k, m).barrier_bound)
     argv = [command, "--a", repr(a), "--b", repr(b), "--k", repr(k), "--m", repr(m),
             "--grid-n", str(grid_n), "--t-steps", str(t_steps), "--format", fmt]
     argv += ["--oracle"] if oracle else []
+    for flag, value in (("--t-max", t_max), ("--drive-amp", drive_amp),
+                        ("--drive-omega", drive_omega), ("--delta", delta)):
+        argv += [flag, value] if value is not None else []
     code, out, err = _run_main(argv)
     assert code in (0, 1, 2)
     if out and fmt == "json":
-        has_error_record = any(r["type"] == "error" for r in json.loads(out)["records"])
+        payload = json.loads(out)
+        has_error_record = any(r["type"] == "error" for r in payload["records"])
+        cells = [cell for row in payload["rows"] for cell in row]
+        nan = None
     else:
         has_error_record = "\n# error: " in out
+        cells = [cell for line in out.splitlines()[1:] if not line.startswith("#")
+                 for cell in line.split(",")]
+        nan = "nan"
+    if code == 0 and command in ("dynamics", "rabi"):
+        assert nan not in cells
     if code == 1:
         assert (out and has_error_record and not err) or (
             not out and err.startswith("error: ") and err.count("\n") == 1
             and err.endswith("\n"))
+    if code == 2:
+        assert not out and err.startswith("config error: ") and err.count("\n") == 1
     assert _run_main(argv) == (code, out, err)

@@ -24,7 +24,7 @@ from dwell.errors import (
     NotReached,
     PoleCollision,
 )
-from dwell.spectrum import _f_and_deriv, cot_squared, level_count
+from dwell.spectrum import _cot, _f_and_deriv, level_count
 
 # frozen from an independent 50-digit evaluation
 G_AT_089 = 5.2493156196093767     # g(0.89)
@@ -205,8 +205,7 @@ def test_gap01_degenerate(deep_well):
         gap01(result)
 
 
-def test_shallow_well_without_odd_level_raises_bracket_failure_everywhere(
-        table_well, capsys, monkeypatch):
+def test_shallow_well_without_odd_level_raises_bracket_failure_everywhere(table_well, capsys):
     # kappa = 0.5, lambda = 0.1: the even level lies below the barrier, the
     # odd one above it; every path to the lowest pair ends in gap01's raise
     from dwell import TwoLevelSystem
@@ -224,7 +223,6 @@ def test_shallow_well_without_odd_level_raises_bracket_failure_everywhere(
     (row,) = gap_sweep(shallow, [100e-9])
     assert row.error.startswith("BracketFailure: ")
 
-    monkeypatch.delenv("DWELL_CONSTANTS", raising=False)
     assert main(["dynamics", "--k", "3e-26J", "--format", "json"]) == 1
     (record,) = json.loads(capsys.readouterr().out)["records"]
     assert record["error_class"] == "BracketFailure"
@@ -346,9 +344,15 @@ def test_find_b_requires_deep_regime(table_well):
         find_b_for_gap(1e-29, shallow)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1e-29])
+def test_find_b_rejects_a_non_finite_or_non_positive_delta(table_well, delta):
+    with pytest.raises(ValueError, match="delta must be finite and > 0"):
+        find_b_for_gap(delta, table_well)
+
+
 def test_cot_squared_monotone_on_band():
     eps = np.linspace(0.2501, 0.9999, 1000)
-    v = np.array([cot_squared(e) for e in eps])
+    v = np.array([_cot(e)[2] ** 2 for e in eps])
     w = eps * v
     assert np.all(np.diff(v) > 0)
     assert np.all(np.diff(w) > 0)

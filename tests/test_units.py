@@ -8,7 +8,6 @@ from dwell import (
     PhysicalConstants,
     WellSpec,
     barrier_bound,
-    constants_from_env,
     to_dimensionless,
 )
 from dwell.errors import NonFiniteScaling
@@ -87,16 +86,6 @@ def test_regime_flags():
     assert not shallow.has_bound_pair
     deep = WellSpec(1e-6, 1e-7, 2e-24, 9.1e-31)
     assert deep.has_bound_pair and deep.big_enough
-
-
-def test_constants_from_env(monkeypatch):
-    monkeypatch.delenv("DWELL_CONSTANTS", raising=False)
-    assert constants_from_env() is PAPER_CONSTANTS
-    monkeypatch.setenv("DWELL_CONSTANTS", "codata")
-    assert constants_from_env() is CODATA_CONSTANTS
-    monkeypatch.setenv("DWELL_CONSTANTS", "bogus")
-    with pytest.raises(ValueError):
-        constants_from_env()
 
 
 def test_constants_validation():
