@@ -8,17 +8,27 @@ round-trip precision.  Identical configuration produces byte-identical
 output.  Non-fatal findings travel as structured records (warning /
 discrepancy / info).
 
+Options come from their defaults, then the --config file, then the
+flags, so a flag beats a config-file value, a list of widths included.
+A single --b is one width, in gap-sweep too; a comma list of widths is
+read only by gap-sweep without --delta, and any other command rejects it
+as a configuration error.  The traces of dynamics and rabi stop with a
+ValueError where a phase (omega t, R0 t) reaches 2**52 rad, from where
+adjacent doubles are 1 rad apart.
+
 Exit codes, one per channel:
   0  output written, no error record;
   1  output written with an error record (a solver failure, a failed sweep
      row or oracle check), or nothing written and an 'error: ValueError: ...'
-     line on stderr (invalid well, grid, sample or drive parameters).  A
+     line on stderr (invalid well, grid, sample or drive parameters, or a
+     trace whose phase reaches 2**52 rad).  A
      solver failure reaches main as a DwellError, which main alone turns
      into the error record; rows the command wrote before it stand, such as
      thermal's T_B row;
   2  nothing written and a 'config error: ...' line on stderr (bad flag
-     value or config file, unreadable config file or unwritable output
-     path), or an argparse usage error.
+     value or config file, a width list where one width is read,
+     unreadable config file or unwritable output path), or an argparse
+     usage error.
 
 Each command imports what it computes with: the module loads only the
 pure-`math` spectrum, thermal and unit code, and `json` only for JSON
@@ -37,7 +47,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import thermal as thermal_mod
@@ -47,7 +57,7 @@ from .spectrum import (SpectrumResult, find_b_for_gap, gap_sweep, level_count,
 from .units import (CODATA_CONSTANTS, PAPER_CONSTANTS, TABLE1_B_VALUES, TABLE1_K, TABLE1_WELL,
                     WellSpec, to_dimensionless)
 
-__all__ = ["main", "RunConfig", "table1_rows"]
+__all__ = ["main", "table1_rows"]
 
 _UNIT_TABLES = {
     "length": {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "um": 1e-6, "µm": 1e-6,
@@ -55,7 +65,6 @@ _UNIT_TABLES = {
     "energy": {"J": 1.0, "mJ": 1e-3, "uJ": 1e-6, "µJ": 1e-6, "nJ": 1e-9,
                "pJ": 1e-12, "fJ": 1e-15, "aJ": 1e-18, "zJ": 1e-21, "yJ": 1e-24},
     "mass": {"kg": 1.0, "g": 1e-3, "mg": 1e-6, "ug": 1e-9, "µg": 1e-9},
-    "temperature": {"K": 1.0, "mK": 1e-3, "uK": 1e-6, "µK": 1e-6, "nK": 1e-9},
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9, "ps": 1e-12},
     "frequency": {"rad/s": 1.0, "Hz": 2.0 * math.pi, "kHz": 2.0e3 * math.pi,
                   "MHz": 2.0e6 * math.pi, "GHz": 2.0e9 * math.pi},
@@ -81,47 +90,26 @@ def parse_quantity(text: str, kind: str, where: str = "") -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Well parameters plus command options, already coerced to SI floats."""
-
-    a: float = 1e-6
-    b: float = 1e-7
-    k: float = 2e-24
-    m: float = PAPER_CONSTANTS.m_e
-    b_values: tuple[float, ...] | None = None  # comma lists (gap-sweep)
-    format: str = "csv"
-    out: str | None = None
-    oracle: bool = False
-    grid_n: int = 20_000
-    t_max: float | None = None
-    t_steps: int = 100
-    delta: float | None = None
-    drive_amp: float | None = None
-    drive_omega: float | None = None
-
-    def well(self) -> WellSpec:
-        return WellSpec(self.a, self.b, self.k, self.m)
-
-
-# The run options: config key -> (kind, flag help).  The kind is a unit
-# table name, "int", "bool", "text" or a tuple of allowed values.  Each key
-# is a config-file key and the flag --key (underscores as dashes), added to
-# the parser in this order.
+# The run options: config key -> (kind, default, flag help).  The kind is a
+# unit table name, "int", "bool", "text" or a tuple of allowed values; "b"
+# holds a tuple of widths, read from a comma list.  A None default leaves
+# the value to the command: b is 100 nm, or the table-1 widths in
+# gap-sweep.  Each key is a config-file key and the flag --key
+# (underscores as dashes), added to the parser in this order.
 _OPTIONS = {
-    "format": (("csv", "json"), None),
-    "out": ("text", "output path (default stdout)"),
-    "oracle": ("bool", "cross-check spectra against the grid solver"),
-    "grid_n": ("int", "grid cells"),
-    "a": ("length", "valley width, e.g. 1um"),
-    "b": ("length", "barrier half-width, e.g. 100nm; comma list for gap-sweep"),
-    "k": ("energy", "barrier height, e.g. 2e-24J"),
-    "m": ("mass", "mass, e.g. 9.1e-31kg"),
-    "t_max": ("time", "trace length, e.g. 2us"),
-    "t_steps": ("int", "trace samples"),
-    "delta": ("energy", "gap target for gap-sweep"),
-    "drive_amp": ("energy", "drive amplitude (J)"),
-    "drive_omega": ("frequency", "drive angular frequency (rad/s)"),
+    "format": (("csv", "json"), "csv", None),
+    "out": ("text", None, "output path (default stdout)"),
+    "oracle": ("bool", False, "cross-check spectra against the grid solver"),
+    "grid_n": ("int", 20_000, "grid cells"),
+    "a": ("length", 1e-6, "valley width, e.g. 1um"),
+    "b": ("length", None, "barrier half-width, e.g. 100nm; comma list for gap-sweep"),
+    "k": ("energy", 2e-24, "barrier height, e.g. 2e-24J"),
+    "m": ("mass", PAPER_CONSTANTS.m_e, "mass, e.g. 9.1e-31kg"),
+    "t_max": ("time", None, "trace length, e.g. 2us"),
+    "t_steps": ("int", 100, "trace samples"),
+    "delta": ("energy", None, "gap target for gap-sweep"),
+    "drive_amp": ("energy", None, "drive amplitude (J)"),
+    "drive_omega": ("frequency", None, "drive angular frequency (rad/s)"),
 }
 
 
@@ -149,19 +137,19 @@ def load_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def _coerce(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig:
+def _coerce(key: str, value: str, where: str):
+    """The value of option key, parsed from its text."""
     kind = _OPTIONS[key][0]
-    if key == "b" and "," in value:
-        values = tuple(parse_quantity(v, kind, where) for v in value.split(","))
-        return replace(cfg, b=values[0], b_values=values)
+    if key == "b":
+        return tuple(parse_quantity(v, kind, where) for v in value.split(","))
     if kind in _UNIT_TABLES:
-        return replace(cfg, **{key: parse_quantity(value, kind, where)})
+        return parse_quantity(value, kind, where)
     if isinstance(kind, tuple) and value not in kind:
         raise ConfigError(f"{key} must be {' or '.join(kind)}, got {value!r}{where}")
     if kind == "bool":
         if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
             raise ConfigError(f"{key} must be boolean, got {value!r}{where}")
-        return replace(cfg, **{key: value.lower() in ("true", "1", "yes")})
+        return value.lower() in ("true", "1", "yes")
     if kind == "int":
         try:
             number = int(value)
@@ -169,20 +157,31 @@ def _coerce(cfg: RunConfig, key: str, value: str, where: str) -> RunConfig:
             raise ConfigError(f"{key} must be an integer, got {value!r}{where}") from None
         if number < 1:
             raise ConfigError(f"{key} must be a positive integer, got {value!r}{where}")
-        return replace(cfg, **{key: number})
-    return replace(cfg, **{key: value})
+        return number
+    return value
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The run options: the defaults, overridden by the config file's
+    values, overridden by the flags given.  Only gap-sweep without delta
+    reads more than one width."""
+    cfg = argparse.Namespace(**{key: option[1] for key, option in _OPTIONS.items()})
     if args.config:
         for key, value in load_config_file(args.config).items():
-            cfg = _coerce(cfg, key, value, f" (in {args.config})")
+            setattr(cfg, key, _coerce(key, value, f" (in {args.config})"))
     for key in _OPTIONS:
         value = getattr(args, key)
         if value is not None and value is not False:  # False: --oracle not given
-            cfg = _coerce(cfg, key, str(value), " (flag)")
+            setattr(cfg, key, _coerce(key, str(value), " (flag)"))
+    if len(cfg.b or ()) > 1 and (args.command != "gap-sweep" or cfg.delta is not None):
+        mode = " with delta" if cfg.delta is not None else ""
+        raise ConfigError(f"b lists {len(cfg.b)} widths, but {args.command}{mode} reads one")
     return cfg
+
+
+def _well(cfg: argparse.Namespace) -> WellSpec:
+    """The run's well; its barrier half-width is the one width of b, or 100 nm."""
+    return WellSpec(cfg.a, cfg.b[0] if cfg.b is not None else 1e-7, cfg.k, cfg.m)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def emit(report: Report, cfg: RunConfig) -> int:
+def emit(report: Report, cfg: argparse.Namespace) -> int:
     if cfg.format == "json":
         import json  # only here: a csv run does not pay for its import
 
@@ -255,8 +254,8 @@ def _every_level(spec: WellSpec, report: Report, grid_n: int | None = None
     return solve_below_barrier(well)
 
 
-def cmd_spectrum(cfg: RunConfig, report: Report) -> None:
-    spec = cfg.well()
+def cmd_spectrum(cfg: argparse.Namespace, report: Report) -> None:
+    spec = _well(cfg)
     report.columns = ["index", "parity", "energy_J", "eps", "residual"]
     result = _every_level(spec, report, cfg.grid_n if cfg.oracle else None)
     if result is None:
@@ -293,7 +292,7 @@ def _line_fit(x: list[float], y: list[float]) -> tuple[float, float]:
     return slope, y_mean - slope * x_mean
 
 
-def cmd_table1(cfg: RunConfig, report: Report) -> None:
+def cmd_table1(cfg: argparse.Namespace, report: Report) -> None:
     report.columns = ["b_nm", "e0_J", "e1_J", "delta_e_J", "tau_s"]
     rows_data = table1_rows()
     report.rows = [[r.b * 1e9, r.e0, r.e1, r.delta_e, r.tau] for r in rows_data]
@@ -338,11 +337,11 @@ def _time_samples(t_max: float, t_steps: int) -> list[float]:
     return times
 
 
-def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
+def cmd_dynamics(cfg: argparse.Namespace, report: Report) -> None:
     from .dynamics import TwoLevelSystem, flip_flop, x_expectation
 
     report.columns = ["t_s", "p_l", "p_r", "x_expect_m"]
-    sys_ = TwoLevelSystem.from_well(cfg.well())
+    sys_ = TwoLevelSystem.from_well(_well(cfg))
     period = 2.0 * math.pi / sys_.omega
     t_max = cfg.t_max if cfg.t_max is not None else period
     for t in _time_samples(t_max, cfg.t_steps):
@@ -350,12 +349,12 @@ def cmd_dynamics(cfg: RunConfig, report: Report) -> None:
         report.rows.append([t, p_l, p_r, x_expectation(sys_, "L", t)])
 
 
-def cmd_rabi(cfg: RunConfig, report: Report) -> None:
+def cmd_rabi(cfg: argparse.Namespace, report: Report) -> None:
     from .dynamics import (HarmonicDrive, TwoLevelSystem, _rabi_rates, rabi_localized,
                            rabi_off_resonance)
 
     report.columns = ["t_s", "p0", "p1", "p_l", "p_r"]
-    sys_ = TwoLevelSystem.from_well(cfg.well())
+    sys_ = TwoLevelSystem.from_well(_well(cfg))
     amp = cfg.drive_amp if cfg.drive_amp is not None else 0.1 * sys_.hbar * sys_.omega
     omega_prime = cfg.drive_omega if cfg.drive_omega is not None else sys_.omega
     drive = HarmonicDrive(amp, omega_prime)
@@ -366,8 +365,8 @@ def cmd_rabi(cfg: RunConfig, report: Report) -> None:
                             *rabi_localized(sys_, drive, t)])
 
 
-def cmd_thermal(cfg: RunConfig, report: Report) -> None:
-    spec = cfg.well()
+def cmd_thermal(cfg: argparse.Namespace, report: Report) -> None:
+    spec = _well(cfg)
     report.columns = ["t_bound_K", "e2_minus_e1_J", "t_max_K", "t_max_over_t_bound"]
     t_bound = thermal_mod.global_temperature_bound(spec.a, spec.m, spec.constants)
     # T_B is defined without the spectrum: its row stands even when the solve fails
@@ -383,8 +382,8 @@ def cmd_thermal(cfg: RunConfig, report: Report) -> None:
                                           "only the geometric bound T_B is defined"})
 
 
-def cmd_gap_sweep(cfg: RunConfig, report: Report) -> None:
-    spec = cfg.well()
+def cmd_gap_sweep(cfg: argparse.Namespace, report: Report) -> None:
+    spec = _well(cfg)
     if cfg.delta is not None:
         report.columns = ["delta_J", "b_m", "gap_J", "eps0", "cot2", "cot2_bound",
                           "certified", "steps"]
@@ -393,14 +392,13 @@ def cmd_gap_sweep(cfg: RunConfig, report: Report) -> None:
                         found.cot2_bound, found.certified, found.steps]]
         return
     report.columns = ["b_m", "e0_J", "e1_J", "delta_e_J", "tau_s", "error"]
-    b_values = cfg.b_values if cfg.b_values is not None else TABLE1_B_VALUES
-    rows_data = gap_sweep(spec, list(b_values))
+    rows_data = gap_sweep(spec, list(cfg.b if cfg.b is not None else TABLE1_B_VALUES))
     report.rows = [[r.b, r.e0, r.e1, r.delta_e, r.tau, r.error or ""] for r in rows_data]
     report.records = [{"type": "error", "message": f"b = {r.b:.9g} m: {r.error}"}
                       for r in rows_data if r.error]
 
 
-def cmd_density(cfg: RunConfig, report: Report) -> None:
+def cmd_density(cfg: argparse.Namespace, report: Report) -> None:
     from . import density as density_mod
 
     report.columns = ["label", "abs_det", "classification", "purity"]
@@ -414,8 +412,8 @@ def cmd_density(cfg: RunConfig, report: Report) -> None:
         report.rows.append([label, det, kind, purity])
 
 
-def cmd_oracle_check(cfg: RunConfig, report: Report) -> None:
-    spec = cfg.well()
+def cmd_oracle_check(cfg: argparse.Namespace, report: Report) -> None:
+    spec = _well(cfg)
     report.columns = ["index", "parity", "energy_solver_J", "energy_grid_J", "rel_diff",
                       "within_tol"]
     result = _every_level(spec, report, cfg.grid_n)
@@ -449,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Double square well spectra, tunneling dynamics, and coherence.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="flat key = value file; flags override")
-    for key, (kind, help_) in _OPTIONS.items():
+    for key, (kind, _, help_) in _OPTIONS.items():
         flag = "--" + key.replace("_", "-")
         if kind == "bool":
             parser.add_argument(flag, dest=key, action="store_true", help=help_)

@@ -34,7 +34,19 @@ __all__ = [
 ]
 
 _PURE_TOL = 1e-12
+"""|det c| below this is a product (pure) state.  An absolute bound is a
+relative one here: the coefficients of a CompositeState are normalized,
+sum |c|^2 = 1, so |det c| <= 1/2 whatever scale its amplitudes came at."""
+
 _AMBIGUOUS_TOL = 1e-9
+"""|det c| in [_PURE_TOL, _AMBIGUOUS_TOL] raises AmbiguousPurity.  Like
+_PURE_TOL it is absolute because |det c| of a normalized state is at most
+1/2; in this band rounding noise cannot be told from entanglement."""
+
+_UNIT_TRACE_TOL = 1e-12
+"""The Hermitian, trace and lowest-eigenvalue tolerance of DensityMatrix.
+An absolute tolerance is a relative one here: a unit-trace positive
+semidefinite 2x2 matrix has every |entry| <= 1, and its trace is 1."""
 
 
 def _norm2(m: Matrix2) -> float:
@@ -104,12 +116,12 @@ class DensityMatrix(TwoByTwoOperator):
     def __post_init__(self) -> None:
         super().__post_init__()
         m = self.matrix
-        if not _is_hermitian(m, 1e-12):
+        if not _is_hermitian(m, _UNIT_TRACE_TOL):
             raise ValueError("density matrix is not Hermitian")
         trace = m[0][0] + m[1][1]
-        if abs(trace.real - 1.0) > 1e-12:
+        if abs(trace.real - 1.0) > _UNIT_TRACE_TOL:
             raise ValueError(f"trace must be 1, got {trace!r}")
-        if _min_eigenvalue(m) < -1e-12:
+        if _min_eigenvalue(m) < -_UNIT_TRACE_TOL:
             raise ValueError("density matrix has a negative eigenvalue")
 
     @property

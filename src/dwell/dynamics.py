@@ -5,6 +5,8 @@ every closed form.
 
 Conventions (fixing two sign typos that would make the formulas mutually
 inconsistent): omega = (E1 - E0)/hbar and Omega = (E0 + E1)/(2 hbar).
+A closed-form trace raises ValueError where its phase (omega t, R0 t)
+reaches 2**52 rad, from where adjacent doubles are 1 rad apart.
 
 The module loads no numpy: TwoLevelSystem.from_well, the closed-form
 traces at a Python number and the 2x2 operators run on `math` and Python
@@ -168,13 +170,24 @@ def _on(t):
     return np, np.asarray(t, dtype=float)
 
 
+def _phase(xp, phase, name: str):
+    """The phase of a closed form, or ValueError when some |phase| is not
+    below 2**52 rad (or not finite): there adjacent doubles are 1 rad apart,
+    so its sine is rounding noise."""
+    size = abs(phase) if xp is math else float(xp.max(xp.abs(phase), initial=0.0))
+    if not size < 2.0 ** 52:
+        raise ValueError(f"phase |{name}| = {size!r} rad is not below 2**52 rad, "
+                         "where adjacent doubles are 1 rad apart")
+    return phase
+
+
 def x_expectation(sys: TwoLevelSystem, side: str, t):
     """<x>(t) = +-d cos(omega t); + for the L-labeled state."""
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     sign = 1.0 if side == "L" else -1.0
     xp, t = _on(t)
-    return sign * sys.d * xp.cos(sys.omega * t)
+    return sign * sys.d * xp.cos(_phase(xp, sys.omega * t, "omega*t"))
 
 
 def perturbation_matrices(
@@ -196,7 +209,7 @@ def flip_flop(sys: TwoLevelSystem, phi: float, t):
     """Degenerate-picture occupation of the localized states,
     P_L = sin^2(omega t / 2 + phi), P_R = 1 - P_L."""
     xp, t = _on(t)
-    s = xp.sin(sys.omega * t / 2.0 + phi)
+    s = xp.sin(_phase(xp, sys.omega * t / 2.0 + phi, "omega*t/2 + phi"))
     p_l = s * s
     return p_l, 1.0 - p_l
 
@@ -219,7 +232,7 @@ def _rabi_transfer(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float, t
     xp, t = _on(t)
     if r0 == 0.0:
         return 0.0 if xp is math else xp.zeros_like(t)
-    s = xp.sin(r0 * t)
+    s = xp.sin(_phase(xp, r0 * t, "R0*t"))
     return (r1 / r0) ** 2 * (s * s)
 
 

@@ -67,7 +67,6 @@ class PiecewiseEigenfunction:
     beta: float
     amplitudes: tuple[float, float]  # (barrier, valley)
     hbar: float
-    mass: float
 
     @property
     def parity(self) -> str:
@@ -150,7 +149,7 @@ def build_eigenfunction(well: WellSpec, level: EnergyLevel) -> PiecewiseEigenfun
 
     norm = 1.0 / math.sqrt(norm_sq)
     amp = amp_raw * norm
-    return PiecewiseEigenfunction(level, a, b, alpha, beta, (norm, amp), hbar, well.m)
+    return PiecewiseEigenfunction(level, a, b, alpha, beta, (norm, amp), hbar)
 
 
 def _int_sin_sq(p: float, a: float) -> float:

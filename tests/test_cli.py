@@ -17,6 +17,7 @@ from dwell import (CODATA_CONSTANTS, PAPER_CONSTANTS, TABLE1_B_VALUES, WellSpec,
 from dwell.cli import (
     _line_fit,
     _time_samples,
+    _well,
     build_config,
     build_parser,
     main,
@@ -37,7 +38,6 @@ def test_parse_quantity_units():
     assert parse_quantity("100nm", "length") == pytest.approx(1e-7)
     assert parse_quantity("1um", "length") == pytest.approx(1e-6)
     assert parse_quantity("2e-24J", "energy") == pytest.approx(2e-24)
-    assert parse_quantity("1.1mK", "temperature") == pytest.approx(1.1e-3)
     assert parse_quantity("9.1e-31kg", "mass") == pytest.approx(9.1e-31)
     assert parse_quantity("2us", "time") == pytest.approx(2e-6)
     assert parse_quantity("3.5e-7", "length") == pytest.approx(3.5e-7)
@@ -67,6 +67,19 @@ def test_rabi_rejects_a_drive_rate_that_overflows(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ValueError: Rabi rate overflows")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, phase", [
+    (["rabi", "--t-max", "1e300", "--t-steps", "3"], "R0*t"),
+    (["dynamics", "--t-max", "1e308", "--t-steps", "3"], "omega*t/2 + phi")])
+def test_a_trace_whose_phase_reaches_2_52_rad_is_a_value_error(argv, phase, capsys):
+    # rabi's phase is finite but rounding noise; dynamics' overflows to inf
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ValueError: phase |{phase}| = ")
     assert captured.err.count("\n") == 1
 
 
@@ -276,6 +289,34 @@ def test_gap_sweep_explicit_b_list(capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("argv, width", [
+    (["gap-sweep", "--b", "150nm"], 1.5e-7),
+    (["gap-sweep", "--config", "sweep.cfg", "--b", "120nm"], 1.2e-7)])
+def test_a_single_b_sweeps_its_one_width(argv, width, tmp_path, monkeypatch, capsys):
+    # a flag beats the config file's list, as it beats any config value
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text("b = 100nm, 150nm\n")
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    rows = [l.split(",") for l in out.strip().split("\n")[1:] if not l.startswith("#")]
+    assert [float(row[0]) for row in rows] == [width]
+
+
+@pytest.mark.parametrize("argv", [*([cmd] for cmd in sorted(dwell.cli._COMMANDS)
+                                    if cmd != "gap-sweep"),
+                                  ["gap-sweep", "--delta", "1e-29J"]], ids=" ".join)
+def test_a_width_list_is_a_config_error_where_one_width_is_read(argv, tmp_path, capsys):
+    cfg = tmp_path / "widths.cfg"
+    cfg.write_text("b = 100nm, 3um\n")
+    mode = " with delta" if "--delta" in argv else ""
+    for given in (["--b", "100nm,3um"], ["--config", str(cfg)]):
+        code = main([*argv, *given])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"config error: b lists 2 widths, but {argv[0]}{mode} reads one\n"
+
+
 def test_gap_sweep_delta_mode(capsys):
     code, out = run_cli(["gap-sweep", "--delta", "1e-29J",
                          "--m", "9.1093837015e-31"], capsys)
@@ -447,7 +488,7 @@ def test_grid_check_rejects_the_level_count_before_solving(command, capsys, monk
     argv = [*command, "--k", "4.1e-14J", "--grid-n", "861"]
     code = main(argv)
     captured = capsys.readouterr()
-    count = level_count(to_dimensionless(build_config(build_parser().parse_args(argv)).well()))
+    count = level_count(to_dimensionless(_well(build_config(build_parser().parse_args(argv)))))
     assert count > 1_600_000
     assert code == 1
     assert captured.out == ""

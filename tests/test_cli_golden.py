@@ -84,6 +84,9 @@ ARGVS = [
     # argparse usage text
     ["bogus"],
     ["--help"],
+    # a single --b sweeps one width, and a flag beats the config file's list
+    ["gap-sweep", "--b", "150nm"],
+    ["gap-sweep", "--config", "sweep.cfg", "--b", "120nm"],
 ]
 
 

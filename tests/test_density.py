@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dwell import (
     Basis,
@@ -252,37 +254,52 @@ def test_composite_state_rejects_non_finite_coefficients(bad):
         CompositeState.from_terms({("+", "alpha"): 1.0, ("-", "beta"): bad})
 
 
-def test_from_terms_normalizes_at_any_amplitude_scale():
-    # the squares of 1e200 overflow and those of 1e-200 underflow
+def test_from_terms_normalizes_an_amplitude_whose_square_overflows_or_underflows():
     for amp in (1e200, 1e-200, 1e200j):
         assert CompositeState.from_terms({("+", "alpha"): amp}).coeffs == (
             (amp / abs(amp), 0j), (0j, 0j))
-    terms = {("+", "alpha"): 0.6, ("-", "alpha"): -0.48j, ("-", "beta"): 0.64}
-    unit = CompositeState.from_terms(terms).coeffs
-    for k in range(-300, 301, 20):
-        scaled = CompositeState.from_terms({key: v * 10.0**k for key, v in terms.items()})
-        assert max(abs(a - b) for ra, rb in zip(unit, scaled.coeffs)
-                   for a, b in zip(ra, rb)) <= 1e-15
     with pytest.raises(ValueError, match="zero state"):
         CompositeState.from_terms({("+", "alpha"): 0.0})
 
 
-def test_expectation_checks_the_observable_at_its_own_scale():
+# entries in steps of 1e-3, so that no product at a scale 10^k, k in
+# [-300, 300], is subnormal
+_PARTS = st.lists(st.integers(-1000, 1000).map(lambda i: i / 1000.0), min_size=8, max_size=8)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(k=st.integers(-300, 300), parts=_PARTS)
+@example(k=-300, parts=[0.0] * 8)  # the zero state raises at both scales
+def test_from_terms_normalizes_at_any_amplitude_scale(k, parts):
+    keys = [(j, e) for j in ("+", "-") for e in ("alpha", "beta")]
+    terms = {key: complex(re, im) for key, re, im in zip(keys, parts[::2], parts[1::2])}
+    scaled = {key: v * 10.0**k for key, v in terms.items()}
+    try:
+        unit = CompositeState.from_terms(terms).coeffs
+    except ValueError:  # the zero state, at either scale
+        with pytest.raises(ValueError, match="zero state"):
+            CompositeState.from_terms(scaled)
+        return
+    got = CompositeState.from_terms(scaled).coeffs
+    assert max(abs(a - b) for ra, rb in zip(unit, got) for a, b in zip(ra, rb)) <= 1e-15
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(k=st.integers(-300, 300), parts=_PARTS)
+@example(k=300, parts=[0.0] * 8)  # a zero observable is valid, and gives exactly 0.0
+def test_expectation_checks_the_observable_at_its_own_scale(k, parts):
     rho = DensityMatrix([[0.5, 0.5j], [-0.5j, 0.5]], Basis.ENERGY)
-    assert expectation(rho, TwoByTwoOperator([[0, 0], [0, 0]], Basis.ENERGY)) == 0.0
-    rng = np.random.default_rng(27)
-    f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    f = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(2, 2)
     f = f + f.conj().T
+    scale = 10.0**k
     unit = expectation(rho, TwoByTwoOperator(f, Basis.ENERGY))
+    value = expectation(rho, TwoByTwoOperator(f * scale, Basis.ENERGY))
+    assert abs(value - unit * scale) <= 1e-15 * scale * np.max(np.abs(f))
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        expectation(rho, TwoByTwoOperator([[0, scale], [0, 0]], Basis.ENERGY))
     skew = np.array([[1.0, 1.0 + 1e-11], [1.0, 1.0]])  # stray imaginary part 5e-12
-    for k in range(-300, 301, 20):
-        scale = 10.0**k
-        with pytest.raises(ValueError, match="must be Hermitian"):
-            expectation(rho, TwoByTwoOperator([[0, scale], [0, 0]], Basis.ENERGY))
-        with pytest.raises(ValueError, match="stray imaginary part"):
-            expectation(rho, TwoByTwoOperator(skew * scale, Basis.ENERGY))
-        value = expectation(rho, TwoByTwoOperator(f * scale, Basis.ENERGY))
-        assert abs(value - unit * scale) <= 1e-15 * scale * np.max(np.abs(f))
+    with pytest.raises(ValueError, match="stray imaginary part"):
+        expectation(rho, TwoByTwoOperator(skew * scale, Basis.ENERGY))
 
 
 def test_from_terms_names_an_unknown_label():

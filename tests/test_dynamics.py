@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,27 @@ def test_a_rabi_rate_that_overflows_raises(two_level):
             call(two_level, drive, 0.0)
     with pytest.raises(ValueError, match="Rabi rate overflows"):
         rk4_step_for(two_level, drive)
+
+
+@pytest.mark.parametrize("t", [1e300, -1e300, math.inf, math.nan])
+def test_a_phase_past_2_52_rad_raises(two_level, t):
+    # from 2**52 rad on adjacent doubles are 1 rad apart: the sine is noise
+    drive = HarmonicDrive(0.1 * two_level.hbar * two_level.omega, two_level.omega)
+    calls = [("omega*t", lambda t: x_expectation(two_level, "L", t)),
+             ("omega*t/2 + phi", lambda t: flip_flop(two_level, math.pi / 2.0, t)),
+             ("R0*t", lambda t: rabi_off_resonance(two_level, drive, t)),
+             ("R0*t", lambda t: rabi_localized(two_level, drive, t))]
+    for name, call in calls:
+        for at in (t, np.array([0.0, t])):
+            with pytest.raises(ValueError, match=re.escape(f"phase |{name}| = ")):
+                call(at)
+
+
+def test_a_phase_below_2_52_rad_keeps_its_bits(two_level):
+    t = 2.0**51 / two_level.omega
+    assert x_expectation(two_level, "L", t) == two_level.d * math.cos(two_level.omega * t)
+    with pytest.raises(ValueError, match="is not below 2\\*\\*52 rad"):
+        x_expectation(two_level, "L", 4.0 * t)
 
 
 def test_rabi_half_amplitude_at_twice_rate_detuning(two_level):

@@ -301,7 +301,7 @@ def test_position_expectation_oscillates_with_dipole_amplitude(table_pair):
 def test_energy_expectation_is_pair_mean(table_pair, table_well):
     psi0, psi1 = table_pair
     state = LocalizedState(psi0, psi1, "L")
-    hbar, m = psi0.hbar, psi0.mass
+    hbar, m = psi0.hbar, table_well.m
     edge = psi0.a + psi0.b
 
     omega = (psi1.level.energy - psi0.level.energy) / hbar
