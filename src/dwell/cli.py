@@ -70,7 +70,9 @@ _UNIT_TABLES = {
                   "MHz": 2.0e6 * math.pi, "GHz": 2.0e9 * math.pi},
 }
 
-_QUANTITY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Zµ/]*)\s*$")
+# a float literal (digits with at most one '.', at least one digit), then a unit
+_QUANTITY_RE = re.compile(
+    r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Zµ/]*)\s*$")
 
 
 def parse_quantity(text: str, kind: str, where: str = "") -> float:

@@ -5,13 +5,14 @@ every closed form.
 
 Conventions (fixing two sign typos that would make the formulas mutually
 inconsistent): omega = (E1 - E0)/hbar and Omega = (E0 + E1)/(2 hbar).
-A closed-form trace raises ValueError where its phase (omega t, R0 t)
-reaches 2**52 rad, from where adjacent doubles are 1 rad apart.
+A closed form raises ValueError where its phase (omega t, R0 t, or either
+phase of the transition amplitude) reaches 2**52 rad, from where adjacent
+doubles are 1 rad apart.
 
-The module loads no numpy: TwoLevelSystem.from_well, the closed-form
-traces at a Python number and the 2x2 operators run on `math` and Python
-complex, and the closed forms at arrays and the RK4 oracle import numpy
-when called.
+The module loads no numpy: each formula, the RK4 oracle's drive matrices
+included, evaluates at one time on `math`, `cmath` and Python complex.
+A closed form maps an array of times through units.pointwise, and the
+RK4 oracle imports numpy for its output array alone.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .errors import ResonantDenominator
 from .spectrum import gap01, solve_below_barrier
-from .units import WellSpec, to_dimensionless
+from .units import WellSpec, pointwise, to_dimensionless
 
 if TYPE_CHECKING:
     import numpy as np
@@ -159,24 +160,12 @@ class HarmonicDrive:
                              f"got {self.amplitude!r}, {self.omega_prime!r}")
 
 
-def _on(t):
-    """The module that evaluates a closed form at t, and t in its type:
-    `math` and a float for a Python number, numpy and a float array
-    otherwise.  Both round alike, so each closed form has one formula."""
-    if isinstance(t, (int, float)):
-        return math, float(t)
-    import numpy as np
-
-    return np, np.asarray(t, dtype=float)
-
-
-def _phase(xp, phase, name: str):
-    """The phase of a closed form, or ValueError when some |phase| is not
-    below 2**52 rad (or not finite): there adjacent doubles are 1 rad apart,
-    so its sine is rounding noise."""
-    size = abs(phase) if xp is math else float(xp.max(xp.abs(phase), initial=0.0))
-    if not size < 2.0 ** 52:
-        raise ValueError(f"phase |{name}| = {size!r} rad is not below 2**52 rad, "
+def _phase(phase: float, name: str) -> float:
+    """The phase of a closed form, or ValueError when |phase| is not below
+    2**52 rad (or not finite): there adjacent doubles are 1 rad apart, so
+    its sine is rounding noise."""
+    if not abs(phase) < 2.0 ** 52:
+        raise ValueError(f"phase |{name}| = {abs(phase)!r} rad is not below 2**52 rad, "
                          "where adjacent doubles are 1 rad apart")
     return phase
 
@@ -185,9 +174,8 @@ def x_expectation(sys: TwoLevelSystem, side: str, t):
     """<x>(t) = +-d cos(omega t); + for the L-labeled state."""
     if side not in ("L", "R"):
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    sign = 1.0 if side == "L" else -1.0
-    xp, t = _on(t)
-    return sign * sys.d * xp.cos(_phase(xp, sys.omega * t, "omega*t"))
+    amplitude = (1.0 if side == "L" else -1.0) * sys.d
+    return pointwise(lambda t: amplitude * math.cos(_phase(sys.omega * t, "omega*t")), t)
 
 
 def perturbation_matrices(
@@ -208,10 +196,12 @@ def perturbation_matrices(
 def flip_flop(sys: TwoLevelSystem, phi: float, t):
     """Degenerate-picture occupation of the localized states,
     P_L = sin^2(omega t / 2 + phi), P_R = 1 - P_L."""
-    xp, t = _on(t)
-    s = xp.sin(_phase(xp, sys.omega * t / 2.0 + phi, "omega*t/2 + phi"))
-    p_l = s * s
-    return p_l, 1.0 - p_l
+    def p_l(t: float) -> float:
+        s = math.sin(_phase(sys.omega * t / 2.0 + phi, "omega*t/2 + phi"))
+        return s * s
+
+    p = pointwise(p_l, t)
+    return p, 1.0 - p
 
 
 def _rabi_rates(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float
@@ -229,11 +219,14 @@ def _rabi_rates(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float
 def _rabi_transfer(sys: TwoLevelSystem, drive: HarmonicDrive, detuning: float, t):
     """(R1/R0)^2 sin^2(R0 t) with R1 = A/hbar, R0 = sqrt(R1^2 + (detuning/2)^2)."""
     r1, r0 = _rabi_rates(sys, drive, detuning)
-    xp, t = _on(t)
-    if r0 == 0.0:
-        return 0.0 if xp is math else xp.zeros_like(t)
-    s = xp.sin(_phase(xp, r0 * t, "R0*t"))
-    return (r1 / r0) ** 2 * (s * s)
+
+    def transfer(t: float) -> float:
+        if r0 == 0.0:
+            return 0.0
+        s = math.sin(_phase(r0 * t, "R0*t"))
+        return (r1 / r0) ** 2 * (s * s)
+
+    return pointwise(transfer, t)
 
 
 def rabi_off_resonance(sys: TwoLevelSystem, drive: HarmonicDrive, t):
@@ -259,7 +252,8 @@ def transition_amplitude(e_n: float, e_m: float, matrix_elems: tuple[complex, co
       + <m|A*|n>  (1 - e^{i((E_m-E_n)/hbar + w') t}) / (E_m - E_n + hbar w')
 
     Raises ResonantDenominator near either resonance, where this expression
-    turns secular and stops being meaningful."""
+    turns secular and stops being meaningful, and ValueError where either
+    phase reaches 2**52 rad."""
     elem_a, elem_a_conj = matrix_elems
     gap = e_m - e_n
     tol = 1e-12 * (abs(e_m) + abs(e_n))
@@ -267,19 +261,18 @@ def transition_amplitude(e_n: float, e_m: float, matrix_elems: tuple[complex, co
         if abs(denom) < tol:
             raise ResonantDenominator(
                 f"|E_m - E_n -+ hbar omega'| = {abs(denom):.3e} J is resonant")
-    term1 = elem_a * (1.0 - cmath.exp(1j * (gap / hbar - omega_prime) * t)) / (gap - hbar * omega_prime)
-    term2 = elem_a_conj * (1.0 - cmath.exp(1j * (gap / hbar + omega_prime) * t)) / (gap + hbar * omega_prime)
+    phase1 = _phase((gap / hbar - omega_prime) * t, "((E_m-E_n)/hbar - w')*t")
+    phase2 = _phase((gap / hbar + omega_prime) * t, "((E_m-E_n)/hbar + w')*t")
+    term1 = elem_a * (1.0 - cmath.exp(1j * phase1)) / (gap - hbar * omega_prime)
+    term2 = elem_a_conj * (1.0 - cmath.exp(1j * phase2)) / (gap + hbar * omega_prime)
     return term1 + term2
 
 
 # ---------------------------------------------------------------------------
 # RK4 oracle for the driven two-level ODEs i hbar dc/dt = M(t) c
 
-MatrixFn = Callable[["np.ndarray"], "np.ndarray"]
-"""M(t): maps an array of times, shape (N,), to matrices, shape (N, 2, 2);
-a scalar time gives one (2, 2) matrix."""
-
-_RK4_BATCH = 4096  # substeps whose stage matrices are read in one call
+MatrixFn = Callable[[float], "Matrix2"]
+"""M(t): the 2x2 matrix at one float time t, as two rows of two numbers."""
 
 
 def rk4_step_for(sys: TwoLevelSystem, drive: HarmonicDrive) -> float:
@@ -296,41 +289,38 @@ def rk4_two_level(matrix_fn: MatrixFn, c0: np.ndarray, times: np.ndarray,
                   hbar: float, max_step: float) -> np.ndarray:
     """Integrate i hbar dc/dt = M(t) c through the sample times; returns an
     array of shape (len(times), 2).  The state is carried as two Python
-    complex numbers.  Per sample interval (per _RK4_BATCH substeps of a
-    longer one), the stage times t, t + h/2 and t + h of every substep go
-    to matrix_fn in one array call, so the shared time t + h is read twice,
-    as the end of one substep and the start of the next."""
+    complex numbers, and matrix_fn is called at the stage times t, t + h/2
+    and t + h of each substep, so the shared time t + h is read twice, as
+    the end of one substep and the start of the next."""
     import numpy as np
 
-    times = np.asarray(times, dtype=float)
+    times = [float(t) for t in times]
     out = np.empty((len(times), 2), dtype=complex)
-    x, y = np.asarray(c0, dtype=complex).tolist()
+    x, y = map(complex, c0)
     p = -1j / hbar
 
-    t_now = float(times[0])
+    t_now = times[0]
     out[0] = (x, y)
     for idx in range(1, len(times)):
-        t_next = float(times[idx])
+        t_next = times[idx]
         span = t_next - t_now
         n_sub = max(1, math.ceil(abs(span) / max_step))
         h = span / n_sub
         half = h / 2.0
-        for first in range(0, n_sub, _RK4_BATCH):
-            ts = t_now + np.arange(first, min(first + _RK4_BATCH, n_sub)) * h
-            stages = matrix_fn(np.concatenate((ts, ts + half, ts + h)))
-            for m1, m2, m4 in zip(*stages.reshape(3, len(ts), 2, 2).tolist()):
-                (a, b), (c, d) = m1
-                k1x, k1y = p * (a * x + b * y), p * (c * x + d * y)
-                (a, b), (c, d) = m2
-                x2, y2 = x + half * k1x, y + half * k1y
-                k2x, k2y = p * (a * x2 + b * y2), p * (c * x2 + d * y2)
-                x3, y3 = x + half * k2x, y + half * k2y
-                k3x, k3y = p * (a * x3 + b * y3), p * (c * x3 + d * y3)
-                (a, b), (c, d) = m4
-                x4, y4 = x + h * k3x, y + h * k3y
-                k4x, k4y = p * (a * x4 + b * y4), p * (c * x4 + d * y4)
-                x = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-                y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        for i in range(n_sub):
+            t = t_now + i * h
+            (a, b), (c, d) = matrix_fn(t)
+            k1x, k1y = p * (a * x + b * y), p * (c * x + d * y)
+            (a, b), (c, d) = matrix_fn(t + half)
+            x2, y2 = x + half * k1x, y + half * k1y
+            k2x, k2y = p * (a * x2 + b * y2), p * (c * x2 + d * y2)
+            x3, y3 = x + half * k2x, y + half * k2y
+            k3x, k3y = p * (a * x3 + b * y3), p * (c * x3 + d * y3)
+            (a, b), (c, d) = matrix_fn(t + h)
+            x4, y4 = x + h * k3x, y + h * k3y
+            k4x, k4y = p * (a * x4 + b * y4), p * (c * x4 + d * y4)
+            x = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         t_now = t_next
         out[idx] = (x, y)
     return out
@@ -338,14 +328,9 @@ def rk4_two_level(matrix_fn: MatrixFn, c0: np.ndarray, times: np.ndarray,
 
 def _drive_matrix(amplitude: float, rate: float) -> MatrixFn:
     """A [[0, e^{i rate t}], [cc, 0]]."""
-    import numpy as np
-
-    def matrix(t) -> np.ndarray:
-        phase = np.exp(1j * rate * np.asarray(t, dtype=float))
-        m = np.zeros(phase.shape + (2, 2), dtype=complex)
-        m[..., 0, 1] = amplitude * phase
-        m[..., 1, 0] = amplitude * np.conj(phase)
-        return m
+    def matrix(t: float) -> Matrix2:
+        phase = cmath.exp(1j * rate * t)
+        return ((0j, amplitude * phase), (amplitude * phase.conjugate(), 0j))
 
     return matrix
 
@@ -364,11 +349,6 @@ def localized_drive_interaction(drive: HarmonicDrive) -> MatrixFn:
 
 def flip_flop_generator(sys: TwoLevelSystem) -> MatrixFn:
     """Static coupling -(hbar omega/2) sigma_x that drives the flip-flop."""
-    import numpy as np
-
-    m = -(sys.hbar * sys.omega / 2.0) * np.array([[0.0, 1.0], [1.0, 0.0]])
-
-    def matrix(t) -> np.ndarray:
-        return np.broadcast_to(m, np.shape(t) + (2, 2))
-
-    return matrix
+    g = -(sys.hbar * sys.omega / 2.0)
+    m = ((-0.0, g), (g, -0.0))  # g sigma_x, entry by entry: g * 0.0 is -0.0
+    return lambda t: m

@@ -8,6 +8,10 @@ k on [-b, b].  All spectral math runs on the dimensionless pair
     kappa = k / B,    lambda = b / a,    B = pi^2 hbar^2 / (2 m a^2),
 
 so that root-finding happens on O(1) numbers instead of 1e-26 J.
+
+`pointwise` maps a scalar formula over an array: every formula outside
+the grid oracle computes at one point on `math`, and this is where an
+array input imports numpy.
 """
 
 from __future__ import annotations
@@ -28,7 +32,19 @@ __all__ = [
     "TABLE1_B_VALUES",
     "TABLE1_K",
     "TABLE1_WELL",
+    "pointwise",
 ]
+
+
+def pointwise(f, x):
+    """f(x) for a Python number x; for any other x, f at each point of x as
+    a float, returned as a float array of x's shape."""
+    if isinstance(x, (int, float)):
+        return f(float(x))
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
 @dataclass(frozen=True)

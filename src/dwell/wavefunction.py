@@ -22,8 +22,7 @@ rate and which carries its own error estimate.
 
 The module computes on `math` alone: psi and psi' have one scalar
 evaluation, and the dipole check sums it at Legendre nodes built here.
-Arrays are mapped point by point, and numpy is imported only by the
-calls that take or return arrays.
+units.pointwise maps it over an array, the one path that imports numpy.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Literal
 
 from .errors import MatchFailure, QuadratureError
 from .spectrum import EnergyLevel
-from .units import WellSpec
+from .units import WellSpec, pointwise
 
 __all__ = [
     "PiecewiseEigenfunction",
@@ -94,22 +93,12 @@ class PiecewiseEigenfunction:
         # an odd function (psi odd, or psi' of an even psi) flips on the left
         return -out if even == derivative and x < 0.0 else out
 
-    def _evaluate(self, x, derivative: bool):
-        """_at for a Python number; mapped over any other input, as an array."""
-        if isinstance(x, (int, float)):
-            return self._at(float(x), derivative)
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        values = [self._at(v, derivative) for v in x.ravel().tolist()]
-        return np.array(values, dtype=float).reshape(x.shape)
-
     def __call__(self, x):
         """Evaluate pointwise; zero outside the walls."""
-        return self._evaluate(x, False)
+        return pointwise(lambda v: self._at(v, False), x)
 
     def derivative(self, x):
-        return self._evaluate(x, True)
+        return pointwise(lambda v: self._at(v, True), x)
 
 
 def build_eigenfunction(well: WellSpec, level: EnergyLevel) -> PiecewiseEigenfunction:

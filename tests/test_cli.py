@@ -41,6 +41,9 @@ def test_parse_quantity_units():
     assert parse_quantity("9.1e-31kg", "mass") == pytest.approx(9.1e-31)
     assert parse_quantity("2us", "time") == pytest.approx(2e-6)
     assert parse_quantity("3.5e-7", "length") == pytest.approx(3.5e-7)
+    for text in ("5.", ".5", "1.e3", "+.5e-1", "-7", "007.25E+2"):  # any float literal
+        assert parse_quantity(text, "length") == float(text)
+        assert parse_quantity(f" {text} nm ", "length") == float(text) * 1e-9
     with pytest.raises(ConfigError):
         parse_quantity("10 parsec", "length")
     with pytest.raises(ConfigError):
@@ -58,6 +61,16 @@ def test_an_overflowing_flag_is_a_config_error(flag, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"config error: quantity '1e400' (flag) is not finite\n"
+
+
+@pytest.mark.parametrize("text", ["1.2.3um", ".um", "1..5nm", "."])
+def test_a_quantity_that_is_no_float_literal_is_a_config_error(text, capsys):
+    # digits and dots that form no float literal: the flag's value is malformed
+    code = main(["spectrum", "--a", text])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: cannot parse quantity {text!r} (flag)\n"
 
 
 def test_rabi_rejects_a_drive_rate_that_overflows(capsys):
@@ -229,6 +242,29 @@ def test_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code, os.devnull], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert result.stdout == (f"{[0] * 14} []\n[0, 0, 0, 0] []\n2002 []\n")
+
+
+_BASE_MODULES = ["dwell", "dwell.cli", "dwell.errors", "dwell.spectrum", "dwell.thermal",
+                 "dwell.units"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["spectrum"], []), (["table1"], []), (["thermal"], []), (["gap-sweep"], []),
+    (["dynamics"], ["dwell.dynamics", "dwell.wavefunction"]),
+    (["rabi"], ["dwell.dynamics", "dwell.wavefunction"]),
+    (["density"], ["dwell.density", "dwell.dynamics"]),
+    (["spectrum", "--oracle"], ["dwell.grid_oracle"]),
+    (["oracle-check"], ["dwell.grid_oracle"])])
+def test_each_command_loads_only_the_dwell_modules_it_computes_with(argv, extra):
+    # density reads no eigenfunction, so no dwell.wavefunction; the spectral
+    # commands load no dwell.dynamics
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import os, sys; from dwell.cli import main; "
+            "main(sys.argv[1:] + ['--out', os.devnull]); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'dwell'))")
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert result.stdout == f"{sorted(_BASE_MODULES + extra)}\n"
 
 
 @pytest.mark.parametrize("t_max", [1.0, 2.3e-6, -7e-7, 0.0, 5e-324])

@@ -1,3 +1,5 @@
+import cmath
+import hashlib
 import math
 import re
 
@@ -59,20 +61,19 @@ def test_basis_change_unitary():
 
 @pytest.mark.parametrize("drive", [HarmonicDrive(3e-30, 6e6), HarmonicDrive(0.0, 0.0)])
 def test_closed_forms_agree_at_a_float_and_an_array(two_level, drive):
-    # each closed form has one formula, on math at a Python number and on
-    # numpy at an array; the two paths round alike
+    # each closed form has one scalar formula on math, mapped over an array
+    # point by point, so an array sample is the float call's value
     times = np.linspace(-2.0, 13.0, 61) / two_level.omega
-    traces = [(lambda t: (x_expectation(two_level, "L", t), x_expectation(two_level, "R", t)),
-               two_level.d),
-              (lambda t: flip_flop(two_level, 0.3, t), 1.0),
-              (lambda t: rabi_off_resonance(two_level, drive, t), 1.0),
-              (lambda t: rabi_localized(two_level, drive, t), 1.0)]
-    for trace, scale in traces:
+    traces = [lambda t: (x_expectation(two_level, "L", t), x_expectation(two_level, "R", t)),
+              lambda t: flip_flop(two_level, 0.3, t),
+              lambda t: rabi_off_resonance(two_level, drive, t),
+              lambda t: rabi_localized(two_level, drive, t)]
+    for trace in traces:
         arrays = trace(times)
         for i, t in enumerate(times.tolist()):
             for value, array in zip(trace(t), arrays):
                 assert type(value) is float
-                assert value == pytest.approx(array[i], rel=1e-15, abs=1e-15 * scale)
+                assert value == array[i]
 
 
 def test_perturbation_matrices(two_level):
@@ -280,16 +281,29 @@ def test_transition_amplitude_resonant_guard(two_level):
                              two_level.omega, 1.0, two_level.hbar)
 
 
-def test_builtin_matrix_fns_map_an_array_of_times_like_stacked_scalar_calls(two_level):
+@pytest.mark.parametrize("t", [1e300, 1e15])
+def test_a_transition_amplitude_phase_past_2_52_rad_raises(t):
+    # at 1e300 s the phase overflows to inf; at 1e15 s it is about 9.5e23
+    # rad, where e^{i phase} is rounding noise
+    with pytest.raises(ValueError, match=re.escape("phase |((E_m-E_n)/hbar - w')*t| = ")):
+        transition_amplitude(1e-25, 2e-25, (1e-30, 1e-30), 1e6, t, 1.054571817e-34)
+
+
+def test_rk4_output_of_the_builtin_drives_keeps_its_bits(two_level):
+    # float.hex digests of rk4_two_level's output, recorded when the drive
+    # matrices were still read as arrays of times in batches
     drive = HarmonicDrive(0.05 * two_level.hbar * two_level.omega, 1.02 * two_level.omega)
-    times = np.linspace(-3.0, 7.0, 11) / two_level.omega
-    for fn in (simple_drive_interaction(two_level, drive), localized_drive_interaction(drive),
-               flip_flop_generator(two_level)):
-        batch = fn(times)
-        stacked = np.stack([fn(float(t)) for t in times])
-        assert batch.shape == stacked.shape == (len(times), 2, 2)
-        assert batch.dtype == stacked.dtype
-        assert batch.tobytes() == stacked.tobytes()
+    times = np.linspace(0.0, 6.0 * math.pi / two_level.omega, 9)
+    step = rk4_step_for(two_level, drive)
+    pinned = [(simple_drive_interaction(two_level, drive), "8f2a3c40feb80824"),
+              (localized_drive_interaction(drive), "749d71d667d3df5e"),
+              (flip_flop_generator(two_level), "e3b5389724df3636")]
+    for fn, expected in pinned:
+        c = rk4_two_level(fn, np.array([0.6 + 0.0j, 0.8j]), times, two_level.hbar, step)
+        assert c.shape == (9, 2) and c.dtype == complex
+        values = c.real.ravel().tolist() + c.imag.ravel().tolist()
+        text = ",".join(v.hex() for v in values)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected
 
 
 def test_transition_amplitude_matches_first_order_rk4(two_level):
@@ -300,11 +314,9 @@ def test_transition_amplitude_matches_first_order_rk4(two_level):
     omega_prime = 0.7 * omega
     drive = HarmonicDrive(a, omega_prime)
 
-    def interaction(t: np.ndarray) -> np.ndarray:
-        coupling = 2.0 * a * np.cos(omega_prime * t) * np.exp(-1j * omega * t)
-        m = np.zeros(np.shape(t) + (2, 2), dtype=complex)
-        m[..., 0, 1], m[..., 1, 0] = coupling, np.conj(coupling)
-        return m
+    def interaction(t: float):
+        coupling = 2.0 * a * math.cos(omega_prime * t) * cmath.exp(-1j * omega * t)
+        return ((0.0, coupling), (coupling.conjugate(), 0.0))
 
     times = np.linspace(0.0, 20.0 / omega, 40)
     c = rk4_two_level(interaction, np.array([1.0 + 0.0j, 0.0j]), times, hbar,
@@ -323,11 +335,10 @@ def test_transition_amplitude_matches_first_order_rk4(two_level):
 def test_rk4_is_fourth_order_under_a_time_dependent_drive():
     # no closed form: the drive's amplitude, phase and detuning all vary in
     # time, so a stage read at the wrong time drops the order below four
-    def matrix(t: np.ndarray) -> np.ndarray:
-        detuning = 0.4 * np.cos(1.3 * t)
-        coupling = (1.0 + 0.5 * np.sin(2.1 * t)) * np.exp(0.7j * t * t)
-        rows = [np.stack([detuning, coupling], -1), np.stack([np.conj(coupling), -detuning], -1)]
-        return np.stack(rows, -2)
+    def matrix(t: float):
+        detuning = 0.4 * math.cos(1.3 * t)
+        coupling = (1.0 + 0.5 * math.sin(2.1 * t)) * cmath.exp(0.7j * t * t)
+        return ((detuning, coupling), (coupling.conjugate(), -detuning))
 
     times = np.array([0.0, 1.0, 2.0, 3.0])
     c0 = np.array([1.0 + 0.0j, 0.0j])
