@@ -21,13 +21,12 @@ _EXPORTS = {name: module for module, names in {
     "grid_oracle": ("GridHamiltonian", "aligned_size", "build_grid_hamiltonian",
                     "eigenvector", "lowest_eigenvalues"),
     "spectrum": ("BoundReport", "EnergyLevel", "Gap01", "GapSearchResult", "SpectrumResult",
-                 "SweepRow", "condition_functions", "find_b_for_gap", "gap01", "gap_sweep",
+                 "SweepRow", "find_b_for_gap", "gap01", "gap_sweep",
                  "solve_below_barrier", "verify_bounds"),
     "thermal": ("ThermalLimit", "global_temperature_bound", "temperature_limit",
                 "thermal_report", "wien_peak_frequency"),
     "units": ("CODATA_CONSTANTS", "PAPER_CONSTANTS", "PhysicalConstants", "ScaledWell",
-              "TABLE1_B_VALUES", "TABLE1_WELL", "WellSpec", "barrier_bound",
-              "to_dimensionless"),
+              "TABLE1_B_VALUES", "TABLE1_WELL", "WellSpec", "to_dimensionless"),
     "wavefunction": ("LocalizedState", "PiecewiseEigenfunction", "build_eigenfunction",
                      "dipole_matrix_element", "position_matrix_element"),
 }.items() for name in names}

@@ -243,16 +243,17 @@ def _every_level(spec: WellSpec, report: Report, grid_n: int | None = None
     """Every level of the well, or None after a "no level below the barrier"
     warning.  With grid_n, the levels are for a check on an n-cell grid,
     whose parameters and level count are checked before the solve."""
-    if not spec.has_bound_pair:
+    well = to_dimensionless(spec)
+    count = level_count(well)
+    if count == 0:
         report.records.append({"type": "warning",
-                               "message": f"k = {spec.k:.9g} J <= B/4 = {spec.barrier_bound / 4:.9g} J: "
+                               "message": f"k = {spec.k:.9g} J <= B/4 = {well.b_scale / 4:.9g} J: "
                                           "no level below the barrier"})
         return None
-    well = to_dimensionless(spec)
     if grid_n is not None:
         from .grid_oracle import check_request
 
-        check_request(spec, grid_n, level_count(well))
+        check_request(spec, grid_n, count)
     return solve_below_barrier(well)
 
 

@@ -174,7 +174,8 @@ def aligned_size(spec: WellSpec, target: int) -> int:
 def _parity_block(h: GridHamiltonian, even: bool
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
     """One parity block on the left half-grid, in symmetric form:
-    (diagonal, off-diagonals, potential, centre ghost).
+    (diagonal, off-diagonals, potential, centre ghost), with the diagonal
+    and off-diagonals in units of energy_scale.
 
     A block vector w holds the left half of v, v[n-1-i] = +-v[i].  Past its
     last cell the block sees the centre ghost * w[-1]: ghost is +1 (even n,
@@ -191,6 +192,8 @@ def _parity_block(h: GridHamiltonian, even: bool
         off[-1] *= math.sqrt(2.0)
     else:
         diag[-1] += ghost * h.off_diagonal
+    diag /= h.energy_scale
+    off /= h.energy_scale
     return diag, off, h.potential[:size], ghost
 
 
@@ -258,19 +261,10 @@ def _cr_solve(levels: list, f: np.ndarray) -> np.ndarray:
 _CERTIFY_TOL = 1e-13  # bound on ||r||^2 / gap, in units of the energy scale
 
 
-def _scaled_block(h: GridHamiltonian, even: bool
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None]:
-    """_parity_block with diagonal and off-diagonals in units of energy_scale."""
-    diag, off, potential, ghost = _parity_block(h, even)
-    diag /= h.energy_scale
-    off /= h.energy_scale
-    return diag, off, potential, ghost
-
-
 def _count_below(h: GridHamiltonian, even: bool, shift: float) -> int:
     """The number of eigenvalues of one parity block below shift (in units
     of energy_scale), by the inertia of its cyclic-reduction factor."""
-    diag, off, _, _ = _scaled_block(h, even)
+    diag, off, _, _ = _parity_block(h, even)
     diag -= shift
     return _cyclic_reduction(diag, off, keep=False)[1]
 
@@ -316,7 +310,7 @@ def _block_lowest(h: GridHamiltonian, even: bool, k: int, rng: np.random.Generat
     _basis), so consecutive calls can share one buffer."""
     store = [] if store is None else store
     scale = h.energy_scale
-    diag, off, potential, ghost = _scaled_block(h, even)
+    diag, off, potential, ghost = _parity_block(h, even)
     factor, _ = _cyclic_reduction(diag, off)
     size = len(diag)
     del diag, off

@@ -62,7 +62,6 @@ __all__ = [
     "Gap01",
     "SweepRow",
     "GapSearchResult",
-    "condition_functions",
     "solve_below_barrier",
     "level_count",
     "verify_bounds",
@@ -110,7 +109,8 @@ class LevelDiagnostics:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """All solved below-barrier levels of one well, ordered by energy."""
+    """All solved below-barrier levels of one well, ordered by energy; only
+    the even and odd member of a flagged pair may tie."""
 
     levels: tuple[EnergyLevel, ...]
     well: ScaledWell
@@ -121,7 +121,7 @@ class SpectrumResult:
         for lo, hi in zip(self.levels, self.levels[1:]):
             if hi.eps > lo.eps:
                 continue
-            tied_pair = hi.index in degenerate and hi.index == lo.index + 1
+            tied_pair = lo.index % 2 == 0 and hi.index == lo.index + 1 and hi.index in degenerate
             if not (tied_pair and hi.eps >= lo.eps):
                 raise ValueError(f"levels {lo.index},{hi.index} are not increasing")
 
@@ -138,16 +138,6 @@ def _cot(eps: float) -> tuple[float, float, float]:
     if abs(sin_pis) < 1e-14:
         raise PoleCollision(f"cot pole at sqrt(eps) = {s!r}")
     return s, sin_pis, math.cos(math.pi * s) / sin_pis
-
-
-def condition_functions(eps: float, kappa: float, lam: float) -> tuple[float, float, float]:
-    """Evaluate (g, h, j) at eps; raises PoleCollision on a cot pole."""
-    if not 0.0 < eps < kappa:
-        raise ValueError(f"eps must lie in (0, kappa), got eps={eps}, kappa={kappa}")
-    s, _, cot = _cot(eps)
-    u = math.sqrt(kappa - eps)
-    t = math.tanh(math.pi * lam * u)
-    return -s * cot, u * t, u / t
 
 
 def _barrier_term(u: float, lam: float, parity: Parity) -> tuple[float, float]:
@@ -246,9 +236,10 @@ def _certified_band(n: int, lo: float, hi: float, kappa: float, lam: float,
 
 
 def _refine_root(lo: float, hi: float, kappa: float, lam: float, parity: Parity,
-                 n: int, f_hi: float) -> tuple[float, float, int, float]:
-    """Safeguarded bisection+Newton inside a sign-changing bracket of pair
-    n, where F(hi) = f_hi > 0.
+                 n: int) -> tuple[float, float, int, float]:
+    """Safeguarded bisection+Newton inside the bracket [lo, hi] of pair n,
+    where hi is _upper_eval_point's point, so F(hi) > 0; BracketFailure
+    unless F(lo) < 0.
 
     Bisection skips the evaluation of every midpoint outside the certified
     band, whose sign is known, except within a 1e-6 relative margin of the
@@ -260,7 +251,7 @@ def _refine_root(lo: float, hi: float, kappa: float, lam: float, parity: Parity,
     f_lo, df_lo = _f_and_deriv(lo, kappa, lam, parity)
     if f_lo == 0.0:
         return lo, 0.0, 0, df_lo
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    if math.copysign(1.0, f_lo) > 0.0:
         raise BracketFailure(f"no sign change for the {parity} condition", (lo, hi))
 
     band = _certified_band(n, lo, hi, kappa, lam, parity) if hi - lo > _BISECT_WIDTH else None
@@ -334,9 +325,8 @@ def _crosses_below_cap(kappa: float, lam: float, parity: Parity) -> bool:
 
 
 def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
-                      kappa: float, lam: float, parity: Parity) -> tuple[float, float] | None:
-    """Find an evaluation point below the upper bracket end with F > 0, as
-    (point, F there).
+                      kappa: float, lam: float, parity: Parity) -> float | None:
+    """Find an evaluation point below the upper bracket end where F > 0.
 
     Near a cot pole g -> +inf, so we only need to creep toward the pole
     until the sign flips.  When the barrier caps the bracket, the limit of
@@ -357,7 +347,7 @@ def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
             shrink *= 1e-3
             continue
         if f > 0.0:
-            return point, f
+            return point
         shrink *= 1e-3
         if shrink * width < 2.0 * math.ulp(hi):
             break
@@ -398,8 +388,7 @@ def _solve_pair_diagnosed(
     even_hi = _upper_eval_point(lo, hi, capped, kappa, lam, "even")
     if even_hi is None:
         raise BracketFailure(f"even condition has no sign change for pair {n}", (lo, hi))
-    eps_even, res_even, it_even, df_even = _refine_root(
-        lo, even_hi[0], kappa, lam, "even", n, even_hi[1])
+    eps_even, res_even, it_even, df_even = _refine_root(lo, even_hi, kappa, lam, "even", n)
     even = EnergyLevel(2 * n, "even", eps_even, eps_even * scale)
     degenerate = _pair_unresolvable(eps_even, kappa, lam, df_even)
     even_diag = LevelDiagnostics(2 * n, it_even, res_even, degenerate)
@@ -407,7 +396,7 @@ def _solve_pair_diagnosed(
     odd_hi = _upper_eval_point(lo, hi, capped, kappa, lam, "odd")
     if odd_hi is None:
         return even, even_diag, None, None
-    eps_odd, res_odd, it_odd, _ = _refine_root(lo, odd_hi[0], kappa, lam, "odd", n, odd_hi[1])
+    eps_odd, res_odd, it_odd, _ = _refine_root(lo, odd_hi, kappa, lam, "odd", n)
     if degenerate and eps_odd < eps_even:
         eps_odd = eps_even  # tie, not a fabricated (negative) splitting
     elif not degenerate and eps_odd <= eps_even:
@@ -571,7 +560,7 @@ def gap01(result: SpectrumResult) -> Gap01:
                             f"E1 - E0 = {delta:.3e} J is within its resolution")
     hbar = result.well.constants.hbar
     tau = 2.0 * math.pi * hbar / delta
-    floor = 4.0 * result.well.m * result.well.a**2 / (math.pi * hbar)
+    floor = 2.0 * math.pi * hbar / result.well.b_scale
     if not tau > floor:  # tau > 2 pi hbar / B always; a breach means a solver bug
         raise DwellError(f"period {tau:.3e} s violates the global floor {floor:.3e} s")
     return Gap01(delta, tau)

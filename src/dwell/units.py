@@ -27,7 +27,6 @@ __all__ = [
     "CODATA_CONSTANTS",
     "WellSpec",
     "ScaledWell",
-    "barrier_bound",
     "to_dimensionless",
     "TABLE1_B_VALUES",
     "TABLE1_K",
@@ -94,12 +93,7 @@ class WellSpec:
     def barrier_bound(self) -> float:
         """Confinement scale B = pi^2 hbar^2 / (2 m a^2) in J; the first
         level pair always lies in (B/4, B)."""
-        return barrier_bound(self)
-
-    @property
-    def has_bound_pair(self) -> bool:
-        """True when k > B/4, the condition for any level below the barrier."""
-        return self.k > self.barrier_bound / 4
+        return math.pi**2 * self.constants.hbar**2 / (2.0 * self.m * self.a * self.a)
 
     @property
     def big_enough(self) -> bool:
@@ -115,22 +109,14 @@ class WellSpec:
         return WellSpec(self.a, b, self.k, self.m, self.constants)
 
 
-def barrier_bound(spec: WellSpec) -> float:
-    """B = pi^2 hbar^2 / (2 m a^2), the energy bounding the lowest pair."""
-    hbar = spec.constants.hbar
-    return math.pi**2 * hbar**2 / (2.0 * spec.m * spec.a * spec.a)
-
-
 @dataclass(frozen=True)
 class ScaledWell:
     """Dimensionless well (kappa = k/B, lam = b/a) plus the SI context
-    (b_scale = B in J, valley width a, mass m) that gives results in SI units."""
+    (b_scale = B in J, and the constants) that gives results in SI units."""
 
     kappa: float
     lam: float
     b_scale: float = field(repr=False, default=math.nan)
-    a: float = field(repr=False, default=math.nan)
-    m: float = field(repr=False, default=math.nan)
     constants: PhysicalConstants = field(repr=False, default=PAPER_CONSTANTS)
 
     def __post_init__(self) -> None:
@@ -141,13 +127,13 @@ class ScaledWell:
 
 
 def to_dimensionless(spec: WellSpec) -> ScaledWell:
-    """Rescale a WellSpec to (kappa, lambda), keeping its SI context."""
-    b_scale = barrier_bound(spec)
+    """Rescale a WellSpec to (kappa, lambda), keeping its SI context: B and
+    the constants."""
+    b_scale = spec.barrier_bound
     kappa = spec.k / b_scale if b_scale > 0.0 else math.inf
     if not math.isfinite(kappa):
         raise NonFiniteScaling(f"k/B = {spec.k}/{b_scale} is not finite")
-    return ScaledWell(kappa=kappa, lam=spec.b / spec.a, b_scale=b_scale,
-                      a=spec.a, m=spec.m, constants=spec.constants)
+    return ScaledWell(kappa=kappa, lam=spec.b / spec.a, b_scale=b_scale, constants=spec.constants)
 
 
 # Reference geometry for the splitting-vs-width table: a = 1 um, electron

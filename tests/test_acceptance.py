@@ -20,7 +20,6 @@ from dwell import (
     TwoByTwoOperator,
     WellSpec,
     aligned_size,
-    barrier_bound,
     build_grid_hamiltonian,
     change_basis,
     expectation,
@@ -95,7 +94,7 @@ def test_criterion_1_reference_table(solved_rows):
 
 def test_criterion_2_scale_constants(solved_rows):
     rows, _ = solved_rows
-    b_paper = barrier_bound(WellSpec(1e-6, 1e-7, 2e-24, 9.1e-31))
+    b_paper = WellSpec(1e-6, 1e-7, 2e-24, 9.1e-31).barrier_bound
     t_bound = global_temperature_bound(1e-6, 9.1e-31)
     tau_floor = 4.0 * 9.1e-31 * (1e-6) ** 2 / (math.pi * PAPER_CONSTANTS.hbar)
     ok_b = abs(b_paper / 0.6e-25 - 1.0) <= 0.01

@@ -389,8 +389,9 @@ def test_oracle_check_without_a_level_warns_and_builds_no_grid(capsys, monkeypat
     payload = json.loads(out)
     assert payload["rows"] == []
     (warning,) = payload["records"]
-    assert main(["spectrum", "--k", "1e-27", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["records"] == [warning]
+    for argv in (["spectrum"], ["spectrum", "--oracle"]):
+        assert main([*argv, "--k", "1e-27", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["records"] == [warning]
 
 
 def test_degenerate_well_reports_cleanly(capsys):

@@ -9,7 +9,7 @@ import dwell
 
 
 def test_every_export_is_its_submodules_object():
-    assert len(dwell.__all__) == len(set(dwell.__all__)) == 55
+    assert len(dwell.__all__) == len(set(dwell.__all__)) == 53
     for name in dwell.__all__:
         module = importlib.import_module(f"dwell.{dwell._EXPORTS[name]}")
         assert getattr(dwell, name) is getattr(module, name)

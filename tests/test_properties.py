@@ -26,6 +26,7 @@ from dwell import (  # noqa: E402
 )
 from dwell.cli import _COMMANDS, main  # noqa: E402
 from dwell.errors import DwellError  # noqa: E402
+from dwell.spectrum import level_count  # noqa: E402
 
 
 def _ulps_above(x: float, k: int) -> float:
@@ -36,13 +37,15 @@ def _ulps_above(x: float, k: int) -> float:
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(kappa=st.floats(math.log(0.25), math.log(1e4)).map(math.exp),
-       lam=st.floats(-8.0, 2.0).map(lambda p: 10.0 ** p))
+       lam=st.floats(-320.0, 2.0).map(lambda p: 10.0 ** p))
 @example(kappa=_ulps_above(0.25, 1), lam=1.0)
 @example(kappa=_ulps_above(2.25, 1), lam=0.1)
 @example(kappa=_ulps_above(2.25, 8), lam=0.1)
 @example(kappa=_ulps_above(30.25, 3), lam=1e-8)
 @example(kappa=_ulps_above(1056.25, 2), lam=1e2)
 @example(kappa=_ulps_above(9900.25, 5), lam=0.01)
+@example(kappa=179.7514346070671, lam=1.5674681681252858e-13)  # PoleCollision at pair 0
+@example(kappa=40.0, lam=1e-300)  # BarrierUnderflow
 def test_every_well_solves_within_bounds_or_raises_a_dwell_error(kappa, lam):
     assume(kappa > 0.25)  # exp(log(1/4)) may round onto 1/4, where no level exists
     try:
@@ -51,6 +54,7 @@ def test_every_well_solves_within_bounds_or_raises_a_dwell_error(kappa, lam):
         return
     assert isinstance(result, SpectrumResult)
     assert verify_bounds(result).all_hold
+    assert len(result.levels) == level_count(ScaledWell(kappa, lam))  # the CLI's count
 
 
 @functools.cache
@@ -59,9 +63,9 @@ def _grid_block(n: int, even: bool):
     from scipy.linalg import eigh_tridiagonal
 
     from dwell import TABLE1_WELL, build_grid_hamiltonian
-    from dwell.grid_oracle import _scaled_block
+    from dwell.grid_oracle import _parity_block
 
-    diag, off, _, _ = _scaled_block(build_grid_hamiltonian(TABLE1_WELL, n), even)
+    diag, off, _, _ = _parity_block(build_grid_hamiltonian(TABLE1_WELL, n), even)
     return diag, off, eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stebz")
 
 

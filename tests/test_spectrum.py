@@ -8,7 +8,6 @@ import dwell.spectrum as spectrum
 from dwell import (
     ScaledWell,
     WellSpec,
-    condition_functions,
     find_b_for_gap,
     gap01,
     gap_sweep,
@@ -24,7 +23,8 @@ from dwell.errors import (
     NotReached,
     PoleCollision,
 )
-from dwell.spectrum import _cot, _f_and_deriv, level_count
+from dwell.spectrum import (EnergyLevel, LevelDiagnostics, SpectrumResult, _cot, _f_and_deriv,
+                            _refine_root, level_count)
 
 # frozen from an independent 50-digit evaluation
 G_AT_089 = 5.2493156196093767     # g(0.89)
@@ -40,8 +40,17 @@ E0_REPORTED = 5.3753895e-26
 E1_REPORTED = 5.4382093e-26
 
 
+def _condition_functions(eps: float, kappa: float, lam: float) -> tuple[float, float, float]:
+    """(g, h, j) at eps, read off the kernel: g from _cot, and h and j as
+    g - F for F = g - h (even) and F = g - j (odd)."""
+    s, _, cot = _cot(eps)
+    g = -s * cot
+    return (g, g - _f_and_deriv(eps, kappa, lam, "even")[0],
+            g - _f_and_deriv(eps, kappa, lam, "odd")[0])
+
+
 def test_condition_functions_reference_point():
-    g, h, j = condition_functions(0.89, 40.0, 0.8)
+    g, h, j = _condition_functions(0.89, 40.0, 0.8)
     assert g == pytest.approx(G_AT_089, rel=1e-13)
     assert h == pytest.approx(H_AT_089, rel=1e-13)
     assert j == pytest.approx(J_AT_089, rel=1e-13)
@@ -49,13 +58,13 @@ def test_condition_functions_reference_point():
 
 
 def test_condition_functions_quarter():
-    g, _, _ = condition_functions(0.25, 40.0, 0.8)
-    assert abs(g) < 1e-15  # cot(pi/2) = 0
+    s, _, cot = _cot(0.25)
+    assert abs(-s * cot) < 1e-15  # g = 0, since cot(pi/2) = 0
 
 
 def test_condition_functions_wide_barrier_coalescence():
     # tanh and coth both go to 1, so h and j collapse onto sqrt(kappa - eps)
-    g, h, j = condition_functions(0.9, 40.0, 50.0)
+    g, h, j = _condition_functions(0.9, 40.0, 50.0)
     assert h == pytest.approx(math.sqrt(39.1), rel=1e-12)
     assert j == pytest.approx(math.sqrt(39.1), rel=1e-12)
     assert h <= j
@@ -64,12 +73,26 @@ def test_condition_functions_wide_barrier_coalescence():
 @pytest.mark.parametrize("eps", [1.0, 4.0, 9.0])
 def test_condition_functions_pole(eps):
     with pytest.raises(PoleCollision):
-        condition_functions(eps, 40.0, 0.8)
+        _cot(eps)
+    for parity in ("even", "odd"):
+        with pytest.raises(PoleCollision):
+            _f_and_deriv(eps, 40.0, 0.8, parity)
 
 
-def test_condition_functions_domain():
-    with pytest.raises(ValueError):
-        condition_functions(41.0, 40.0, 0.8)
+def test_refine_root_rejects_a_bracket_without_a_sign_change():
+    # F > 0 on the whole bracket: the even root of pair 0 is at 0.9061
+    with pytest.raises(BracketFailure, match="no sign change for the even condition"):
+        _refine_root(0.95, 0.999, 40.0, 0.8, "even", 0)
+
+
+def test_spectrum_result_ties_only_the_members_of_a_flagged_pair():
+    levels = tuple(EnergyLevel(i, ("even", "odd")[i % 2], eps, math.nan)
+                   for i, eps in enumerate((0.9, 1.0, 1.0, 1.0)))
+    report = tuple(LevelDiagnostics(i, 0, 0.0, i // 2 == 1) for i in range(4))
+    with pytest.raises(ValueError, match="levels 1,2 are not increasing"):
+        SpectrumResult(levels, ScaledWell(40.0, 0.8), report)
+    tied = levels[:1] + (EnergyLevel(1, "odd", 0.95, math.nan),) + levels[2:]
+    assert SpectrumResult(tied, ScaledWell(40.0, 0.8), report).eps_values == (0.9, 0.95, 1.0, 1.0)
 
 
 def test_solve_pair_reference_row(table_well):

@@ -31,10 +31,10 @@ def test_global_bound_scaling():
 
 def test_limit_at_five_quarters_b_is_the_global_bound():
     # E2 - E1 = (5/4) B is exactly the T_B configuration
-    from dwell import WellSpec, barrier_bound
+    from dwell import WellSpec
 
     spec = WellSpec(1e-6, 1e-7, 2e-24, 9.1e-31)
-    gap = 1.25 * barrier_bound(spec)
+    gap = 1.25 * spec.barrier_bound
     assert temperature_limit(gap) == pytest.approx(
         global_temperature_bound(1e-6, 9.1e-31), rel=1e-12)
 

@@ -7,10 +7,10 @@ from dwell import (
     PAPER_CONSTANTS,
     PhysicalConstants,
     WellSpec,
-    barrier_bound,
     to_dimensionless,
 )
 from dwell.errors import NonFiniteScaling
+from dwell.spectrum import level_count
 
 # frozen from an independent 50-digit evaluation
 B_REFERENCE_GEOMETRY = 6.03087988721e-26  # a = 1e-6 m, m = 9.1e-31 kg
@@ -28,15 +28,15 @@ def test_default_constants():
 
 def test_barrier_bound_reference_value():
     spec = WellSpec(1e-6, 1e-7, 2e-24, 9.1e-31)
-    assert barrier_bound(spec) == pytest.approx(B_REFERENCE_GEOMETRY, rel=1e-10)
+    assert spec.barrier_bound == pytest.approx(B_REFERENCE_GEOMETRY, rel=1e-10)
     # the published one-digit estimate 0.6e-25 J holds to 1%
-    assert barrier_bound(spec) == pytest.approx(0.6e-25, rel=0.01)
+    assert spec.barrier_bound == pytest.approx(0.6e-25, rel=0.01)
 
 
 def test_barrier_bound_scaling_in_a():
     spec = WellSpec(1e-6, 1e-7, 2e-24, 9.1e-31)
     doubled = WellSpec(2e-6, 1e-7, 2e-24, 9.1e-31)
-    assert barrier_bound(spec) / barrier_bound(doubled) == 4.0
+    assert spec.barrier_bound / doubled.barrier_bound == 4.0
 
 
 @pytest.mark.parametrize("field", ["a", "m"])
@@ -46,7 +46,7 @@ def test_barrier_bound_monotone_decreasing(field):
     for v in values:
         kwargs = {"a": 1e-6, "b": 1e-7, "k": 2e-24, "m": 9.1e-31}
         kwargs[field] = v
-        bounds.append(barrier_bound(WellSpec(**kwargs)))
+        bounds.append(WellSpec(**kwargs).barrier_bound)
     assert all(x > y for x, y in zip(bounds, bounds[1:]))
 
 
@@ -83,9 +83,9 @@ def test_invalid_well_parameters(bad):
 
 def test_regime_flags():
     shallow = WellSpec(1e-6, 1e-7, 1e-27, 9.1e-31)
-    assert not shallow.has_bound_pair
+    assert level_count(to_dimensionless(shallow)) == 0 and not shallow.big_enough
     deep = WellSpec(1e-6, 1e-7, 2e-24, 9.1e-31)
-    assert deep.has_bound_pair and deep.big_enough
+    assert level_count(to_dimensionless(deep)) > 0 and deep.big_enough
 
 
 def test_constants_validation():
