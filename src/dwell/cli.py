@@ -10,25 +10,24 @@ discrepancy / info).
 
 Options come from their defaults, then the --config file, then the
 flags, so a flag beats a config-file value, a list of widths included.
-A single --b is one width, in gap-sweep too; a comma list of widths is
-read only by gap-sweep without --delta, and any other command rejects it
-as a configuration error.  The traces of dynamics and rabi stop with a
-ValueError where a phase (omega t, R0 t) reaches 2**52 rad, from where
-adjacent doubles are 1 rad apart.
+A command accepts only the options it reads (its `_COMMANDS` row, plus
+format and out), and a single --b is one width: a comma list of widths
+is read only by gap-sweep without --delta.  The traces of dynamics and
+rabi stop with a ValueError where a phase (omega t, R0 t) reaches 2**52
+rad, from where adjacent doubles are 1 rad apart.
 
 Exit codes, one per channel:
   0  output written, no error record;
   1  output written with an error record (a solver failure, a failed sweep
      row or oracle check), or nothing written and an 'error: ValueError: ...'
      line on stderr (invalid well, grid, sample or drive parameters, or a
-     trace whose phase reaches 2**52 rad).  A
-     solver failure reaches main as a DwellError, which main alone turns
-     into the error record; rows the command wrote before it stand, such as
-     thermal's T_B row;
+     trace whose phase reaches 2**52 rad).  A solver failure reaches main
+     as a DwellError, which main alone turns into the error record; rows
+     the command wrote before it stand, such as thermal's T_B row;
   2  nothing written and a 'config error: ...' line on stderr (bad flag
-     value or config file, a width list where one width is read,
-     unreadable config file or unwritable output path), or an argparse
-     usage error.
+     value or config file, a flag or config key its command does not read,
+     a width list where one width is read, unreadable config file or
+     unwritable output path), or an argparse usage error.
 
 Each command imports what it computes with: the module loads only the
 pure-`math` spectrum, thermal and unit code, and `json` only for JSON
@@ -165,16 +164,21 @@ def _coerce(key: str, value: str, where: str):
 
 def build_config(args: argparse.Namespace) -> argparse.Namespace:
     """The run options: the defaults, overridden by the config file's
-    values, overridden by the flags given.  Only gap-sweep without delta
-    reads more than one width."""
+    values, overridden by the flags given.  Each must be an option the
+    command reads, and only gap-sweep without delta reads a width list."""
     cfg = argparse.Namespace(**{key: option[1] for key, option in _OPTIONS.items()})
-    if args.config:
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, _coerce(key, value, f" (in {args.config})"))
-    for key in _OPTIONS:
-        value = getattr(args, key)
-        if value is not None and value is not False:  # False: --oracle not given
-            setattr(cfg, key, _coerce(key, str(value), " (flag)"))
+    given = [(load_config_file(args.config) if args.config else {}, f" (in {args.config})"),
+             ({key: str(getattr(args, key)) for key in _OPTIONS  # not given: None or False
+               if getattr(args, key) not in (None, False)}, " (flag)")]
+    for values, where in given:
+        for key, value in values.items():
+            setattr(cfg, key, _coerce(key, value, where))
+    reads = ["format", "out", *_COMMANDS[args.command][1].split()]
+    mode = " without oracle" if "oracle" in reads and not cfg.oracle else ""
+    for values, where in given:
+        for key in _OPTIONS:
+            if key in values and (key not in reads or mode and key == "grid_n"):
+                raise ConfigError(f"{args.command}{mode} does not read {key}{where}")
     if len(cfg.b or ()) > 1 and (args.command != "gap-sweep" or cfg.delta is not None):
         mode = " with delta" if cfg.delta is not None else ""
         raise ConfigError(f"b lists {len(cfg.b)} widths, but {args.command}{mode} reads one")
@@ -432,15 +436,16 @@ def cmd_oracle_check(cfg: argparse.Namespace, report: Report) -> None:
                                               f"{rel:.3e} exceeds {tol:.0e}"})
 
 
+# command -> (its function, the options it reads besides format and out)
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "table1": cmd_table1,
-    "dynamics": cmd_dynamics,
-    "rabi": cmd_rabi,
-    "thermal": cmd_thermal,
-    "gap-sweep": cmd_gap_sweep,
-    "density": cmd_density,
-    "oracle-check": cmd_oracle_check,
+    "spectrum": (cmd_spectrum, "a b k m oracle grid_n"),
+    "table1": (cmd_table1, ""),
+    "dynamics": (cmd_dynamics, "a b k m t_max t_steps"),
+    "rabi": (cmd_rabi, "a b k m t_max t_steps drive_amp drive_omega"),
+    "thermal": (cmd_thermal, "a b k m"),
+    "gap-sweep": (cmd_gap_sweep, "a b k m delta"),
+    "density": (cmd_density, ""),
+    "oracle-check": (cmd_oracle_check, "a b k m grid_n"),
 }
 
 
@@ -466,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         try:
-            _COMMANDS[args.command](cfg, report)
+            _COMMANDS[args.command][0](cfg, report)
         except DwellError as exc:
             report.records.append({"type": "error", "error_class": type(exc).__name__,
                                    "message": str(exc)})

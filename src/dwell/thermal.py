@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .units import PAPER_CONSTANTS, PhysicalConstants
+from .units import PAPER_CONSTANTS, PhysicalConstants, _positive_finite
 
 __all__ = [
     "ThermalLimit",
@@ -47,10 +47,13 @@ def temperature_limit(e2_minus_e1: float,
 
 def global_temperature_bound(a: float, m: float,
                              constants: PhysicalConstants = PAPER_CONSTANTS) -> float:
-    """T_B = 5 pi hbar b_W / (16 m c a^2), independent of barrier width."""
+    """T_B = 5 pi hbar b_W / (16 m c a^2), independent of barrier width;
+    NonFiniteScaling where 16 m c a^2 or T_B is not a positive finite float."""
     if a <= 0 or m <= 0:
         raise ValueError("a and m must be > 0")
-    return 5.0 * math.pi * constants.hbar * constants.b_w / (16.0 * m * constants.c * a * a)
+    denominator = 16.0 * m * constants.c * a * a  # 0 where it underflows, so T_B = inf
+    return _positive_finite("T_B", 5.0 * math.pi * constants.hbar * constants.b_w / denominator
+                            if denominator else math.inf)
 
 
 def wien_peak_frequency(temperature: float,

@@ -46,6 +46,13 @@ def pointwise(f, x):
     return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
+def _positive_finite(name: str, value: float, error: type = NonFiniteScaling) -> float:
+    """value; error unless it is a positive finite float."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     """SI constants entering the solver.
@@ -64,9 +71,7 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "m_e", "c", "b_w"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"constant {name} must be finite and > 0, got {v!r}")
+            _positive_finite(f"constant {name}", getattr(self, name), ValueError)
 
 
 PAPER_CONSTANTS = PhysicalConstants()
@@ -85,15 +90,15 @@ class WellSpec:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "k", "m"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"well parameter {name} must be finite and > 0, got {v!r}")
+            _positive_finite(f"well parameter {name}", getattr(self, name), ValueError)
 
     @property
     def barrier_bound(self) -> float:
-        """Confinement scale B = pi^2 hbar^2 / (2 m a^2) in J; the first
-        level pair always lies in (B/4, B)."""
-        return math.pi**2 * self.constants.hbar**2 / (2.0 * self.m * self.a * self.a)
+        """Confinement scale B = pi^2 hbar^2 / (2 m a^2) in J, a positive finite
+        float or NonFiniteScaling; the first level pair lies in (B/4, B)."""
+        two_m_a2 = 2.0 * self.m * self.a * self.a  # 0 where it underflows, so B = inf
+        return _positive_finite("B", math.pi**2 * self.constants.hbar**2 / two_m_a2
+                                if two_m_a2 else math.inf)
 
     @property
     def big_enough(self) -> bool:
@@ -120,20 +125,16 @@ class ScaledWell:
     constants: PhysicalConstants = field(repr=False, default=PAPER_CONSTANTS)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise NonFiniteScaling(f"kappa must be finite and > 0, got {self.kappa!r}")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise NonFiniteScaling(f"lambda must be finite and > 0, got {self.lam!r}")
+        _positive_finite("kappa", self.kappa)
+        _positive_finite("lambda", self.lam)
 
 
 def to_dimensionless(spec: WellSpec) -> ScaledWell:
     """Rescale a WellSpec to (kappa, lambda), keeping its SI context: B and
     the constants."""
     b_scale = spec.barrier_bound
-    kappa = spec.k / b_scale if b_scale > 0.0 else math.inf
-    if not math.isfinite(kappa):
-        raise NonFiniteScaling(f"k/B = {spec.k}/{b_scale} is not finite")
-    return ScaledWell(kappa=kappa, lam=spec.b / spec.a, b_scale=b_scale, constants=spec.constants)
+    return ScaledWell(kappa=spec.k / b_scale, lam=spec.b / spec.a, b_scale=b_scale,
+                      constants=spec.constants)
 
 
 # Reference geometry for the splitting-vs-width table: a = 1 um, electron

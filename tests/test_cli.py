@@ -339,9 +339,10 @@ def test_a_single_b_sweeps_its_one_width(argv, width, tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("argv", [*([cmd] for cmd in sorted(dwell.cli._COMMANDS)
-                                    if cmd != "gap-sweep"),
+                                    if cmd not in ("gap-sweep", "table1", "density")),
                                   ["gap-sweep", "--delta", "1e-29J"]], ids=" ".join)
 def test_a_width_list_is_a_config_error_where_one_width_is_read(argv, tmp_path, capsys):
+    # table1 and density read no width at all: see the unread-option test
     cfg = tmp_path / "widths.cfg"
     cfg.write_text("b = 100nm, 3um\n")
     mode = " with delta" if "--delta" in argv else ""
@@ -351,6 +352,92 @@ def test_a_width_list_is_a_config_error_where_one_width_is_read(argv, tmp_path, 
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"config error: b lists 2 widths, but {argv[0]}{mode} reads one\n"
+
+
+def _reads(command: str) -> list[str]:
+    return ["format", "out", *dwell.cli._COMMANDS[command][1].split()]
+
+
+_UNREAD = [
+    (["dynamics", "--t-steps", "3", "--oracle", "--grid-n", "5", "--delta", "1J",
+      "--drive-amp", "3J"], "dynamics does not read oracle (flag)"),
+    (["table1", "--a", "3um", "--b", "7nm", "--k", "1J", "--oracle"],
+     "table1 does not read oracle (flag)"),
+    (["density", "--a", "1e-200m", "--k", "1e300"], "density does not read a (flag)"),
+    (["table1", "--b", "100nm,3um"], "table1 does not read b (flag)"),
+    (["density", "--b", "100nm,3um"], "density does not read b (flag)"),
+    (["table1", "--config", "widths.cfg"], "table1 does not read b (in widths.cfg)"),
+    (["density", "--config", "widths.cfg"], "density does not read b (in widths.cfg)"),
+    # the first unread key in option order, config keys before flags
+    (["dynamics", "--config", "oracle.cfg"], "dynamics does not read oracle (in oracle.cfg)"),
+    (["thermal", "--delta", "1J", "--config", "oracle.cfg"],
+     "thermal does not read oracle (in oracle.cfg)"),
+    (["thermal", "--drive-omega", "1MHz", "--t-max", "2us"], "thermal does not read t_max (flag)"),
+    (["gap-sweep", "--config", "widths.cfg", "--grid-n", "5"],
+     "gap-sweep does not read grid_n (flag)"),
+    (["spectrum", "--grid-n", "5"], "spectrum without oracle does not read grid_n (flag)"),
+    (["spectrum", "--config", "oracle.cfg", "--t-steps", "5"],
+     "spectrum does not read t_steps (flag)"),
+    # every value is parsed first: a bad line is an error though the key is unread
+    (["density", "--config", "bad-n.cfg", "--grid-n", "5"],
+     "grid_n must be an integer, got 'x' (in bad-n.cfg)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _UNREAD, ids=[" ".join(argv) for argv, _ in _UNREAD])
+def test_a_command_rejects_an_option_it_does_not_read(argv, message, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "widths.cfg").write_text("b = 100nm, 3um\n")
+    (tmp_path / "oracle.cfg").write_text("oracle = yes\ngrid_n = 20000\nb = 150nm\n")
+    (tmp_path / "bad-n.cfg").write_text("grid_n = x\n")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command", sorted(dwell.cli._COMMANDS))
+def test_each_command_accepts_only_its_row_of_options(command, capsys):
+    # each command accepts --config, format, out and its row: 58 of the
+    # 8 x 14 (command, option) pairs
+    assert sum(len(_reads(cmd)) + 1 for cmd in dwell.cli._COMMANDS) == 58
+    mode = " without oracle" if command == "spectrum" else ""
+    for key, (kind, _, _) in dwell.cli._OPTIONS.items():
+        if key in _reads(command):
+            continue
+        flag = "--" + key.replace("_", "-")
+        code = main([command, *([flag] if kind == "bool" else [flag, "1"])])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"config error: {command}{mode} does not read {key} (flag)\n"
+
+
+_A_1E_200 = ["--a", "1e-200m", "--k", "1e-20"]  # 2 m a^2 and 16 m c a^2 underflow to 0
+
+
+@pytest.mark.parametrize("argv", [
+    *([cmd, *_A_1E_200] for cmd in ("spectrum", "thermal", "gap-sweep", "dynamics", "rabi",
+                                    "oracle-check")),
+    ["thermal", "--a", "7.84407459481502e-257", "--b", "1.4019182046075838e+34",
+     "--k", "3.0202062922289437e-204", "--m", "2.5524492553354014e-260"]], ids=" ".join)
+def test_a_scale_that_is_no_positive_finite_float_is_an_error_record(argv, capsys):
+    # B = pi^2 hbar^2/(2 m a^2) and T_B = 5 pi hbar b_W/(16 m c a^2) are inf
+    code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    scale = "T_B" if argv[0] == "thermal" else "B"
+    # gap-sweep writes a failed row and an error record for each table-1 width
+    widths = 7 if argv[0] == "gap-sweep" else 0
+    assert len(payload["rows"]) == widths
+    assert len(payload["records"]) == max(widths, 1)
+    for record in payload["records"]:
+        assert record["type"] == "error"
+        assert record["message"].endswith(f"{scale} must be finite and > 0, got inf")
 
 
 def test_gap_sweep_delta_mode(capsys):

@@ -22,9 +22,10 @@ from dwell import (  # noqa: E402
     SpectrumResult,
     WellSpec,
     solve_below_barrier,
+    to_dimensionless,
     verify_bounds,
 )
-from dwell.cli import _COMMANDS, main  # noqa: E402
+from dwell.cli import _COMMANDS, _OPTIONS, main  # noqa: E402
 from dwell.errors import DwellError  # noqa: E402
 from dwell.spectrum import level_count  # noqa: E402
 
@@ -102,27 +103,74 @@ def _quantity(lo: float):
     return st.one_of(st.none(), _log_uniform(lo, 300.0).map(repr), st.just("1e400"))
 
 
+def _reads(command: str, oracle: bool) -> list[str]:
+    """The options command reads besides format and out; spectrum reads
+    grid_n only with oracle."""
+    reads = _COMMANDS[command][1].split()
+    return [key for key in reads if key != "grid_n" or oracle or "oracle" not in reads]
+
+
+# A well of every command's reading path that must exit 0: the table-1 well,
+# on a grid fine enough for the oracle check's 1e-4
+_REFERENCE = {"a": 1e-6, "b": 1e-7, "k": 2e-24, "m": 9.1e-31, "grid_n": 20_000, "t_steps": 3,
+              "oracle": True, "t_max": None, "drive_amp": None, "drive_omega": None,
+              "delta": None}
+
+
+def _on_every_command(test):
+    for command in sorted(_COMMANDS):
+        test = example(command=command, fmt="csv", unread=None, **_REFERENCE)(test)
+    return test
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(command=st.sampled_from(sorted(_COMMANDS)), a=_log_uniform(-10.0, -3.0),
-       b=_log_uniform(-11.0, -4.0), k=_log_uniform(-30.0, -16.0), m=_log_uniform(-31.0, -24.0),
+@given(command=st.sampled_from(sorted(_COMMANDS)), fmt=st.sampled_from(["csv", "json"]),
+       unread=st.one_of(st.none(), st.none(), st.integers(0, 12)),  # unread: a share of draws
+       a=_log_uniform(-320.0, 300.0), b=_log_uniform(-320.0, 300.0),
+       k=_log_uniform(-320.0, 300.0), m=_log_uniform(-320.0, 300.0),
        grid_n=st.integers(1, 3000), t_steps=st.integers(1, 50), oracle=st.booleans(),
-       fmt=st.sampled_from(["csv", "json"]), t_max=_quantity(-15.0),
-       drive_amp=_quantity(-40.0), drive_omega=_quantity(-3.0), delta=_quantity(-40.0))
+       t_max=_quantity(-15.0), drive_amp=_quantity(-40.0), drive_omega=_quantity(-3.0),
+       delta=_quantity(-40.0))
+@_on_every_command
 # A/hbar overflows to inf, where (R1/R0)^2 would fill every row with nan
-@example(command="rabi", a=1e-6, b=1e-7, k=2e-24, m=9.1e-31, grid_n=2000, t_steps=3,
-         oracle=False, fmt="csv", t_max=None, drive_amp="1e300", drive_omega=None, delta=None)
+@example(command="rabi", fmt="csv", unread=None, **{**_REFERENCE, "drive_amp": "1e300"})
+# 2 m a^2 underflows to 0, so B = pi^2 hbar^2/(2 m a^2) is inf
+@example(command="spectrum", fmt="csv", unread=None, **{**_REFERENCE, "a": 1e-200, "k": 1e-20})
+# 16 m c a^2 underflows to 0 as well, so T_B is inf
+@example(command="thermal", fmt="csv", unread=None,
+         **{**_REFERENCE, "a": 7.84407459481502e-257, "b": 1.4019182046075838e+34,
+            "k": 3.0202062922289437e-204, "m": 2.5524492553354014e-260})
 def test_every_command_ends_in_an_exit_channel_and_repeats_itself(
-        command, a, b, k, m, grid_n, t_steps, oracle, fmt, t_max, drive_amp, drive_omega, delta):
-    # kappa <= 1e6 bounds the work of the commands that solve every level
-    assume(k <= 1e6 * WellSpec(a, b, k, m).barrier_bound)
-    argv = [command, "--a", repr(a), "--b", repr(b), "--k", repr(k), "--m", repr(m),
-            "--grid-n", str(grid_n), "--t-steps", str(t_steps), "--format", fmt]
-    argv += ["--oracle"] if oracle else []
-    for flag, value in (("--t-max", t_max), ("--drive-amp", drive_amp),
-                        ("--drive-omega", drive_omega), ("--delta", delta)):
-        argv += [flag, value] if value is not None else []
+        command, fmt, unread, a, b, k, m, grid_n, t_steps, oracle, t_max, drive_amp,
+        drive_omega, delta):
+    drawn = {"a": a, "b": b, "k": k, "m": m, "grid_n": grid_n, "t_steps": t_steps,
+             "oracle": oracle, "t_max": t_max, "drive_amp": drive_amp,
+             "drive_omega": drive_omega, "delta": delta}
+    reads = _reads(command, oracle)
+    if "k" in reads:
+        # kappa <= 1e6 bounds the work of the commands that solve every level;
+        # a well that cannot be scaled ends in its error record at once
+        with contextlib.suppress(DwellError):
+            assume(to_dimensionless(WellSpec(a, b, k, m)).kappa <= 1e6)
+    argv = [command, "--format", fmt]
+    for key in reads:
+        flag, value = "--" + key.replace("_", "-"), drawn[key]
+        if value is not None and value is not False:
+            argv += [flag] if value is True else [flag, str(value)]
+    if unread is not None:
+        # one option the command does not read: a configuration error
+        others = [key for key in _OPTIONS if key not in ("format", "out", *reads)]
+        key = others[unread % len(others)]
+        argv += ["--" + key.replace("_", "-")] + ([] if key == "oracle" else ["1"])
     code, out, err = _run_main(argv)
     assert code in (0, 1, 2)
+    if drawn == _REFERENCE and unread is None:
+        assert code == 0, argv
+    if unread is not None:
+        assert code == 2
+        if "1e400" not in argv:  # an overflowing value is the first error
+            mode = " without oracle" if command == "spectrum" and not oracle else ""
+            assert err == f"config error: {command}{mode} does not read {key} (flag)\n"
     if out and fmt == "json":
         payload = json.loads(out)
         has_error_record = any(r["type"] == "error" for r in payload["records"])
