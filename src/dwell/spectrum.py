@@ -24,6 +24,9 @@ found in three steps:
   midpoints outside the band, and Newton steps with analytic derivatives
   polish the root inside the bracket bisection leaves.
 
+A top bracket too narrow to probe, kappa just above (n + 1/2)^2, takes its
+even root by plain bisection over the floats inside it instead.
+
 The bracket, and so every level bit, is that of plain bisection, which
 runs instead whenever the scout or its certificate fails.  The reported
 iterations count bracket halvings and Newton steps, not evaluations of F.
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import (
     BarrierUnderflow,
@@ -87,8 +90,7 @@ _GAP_CAP = 100.0  # find_b_for_gap stops past b = _GAP_CAP * a
 Parity = Literal["even", "odd"]
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """One below-barrier level: global index (even levels carry even
     indices), parity, dimensionless eps = E/B, and E in J (NaN when the
     well carries no SI context)."""
@@ -99,8 +101,7 @@ class EnergyLevel:
     energy: float
 
 
-@dataclass(frozen=True)
-class LevelDiagnostics:
+class LevelDiagnostics(NamedTuple):
     index: int
     iterations: int
     residual: float
@@ -218,7 +219,10 @@ def _certified_band(n: int, lo: float, hi: float, kappa: float, lam: float,
     delta = 1e3 ulp(r) + 1e-11.  A computed F(r - delta) < 0 < F(r + delta)
     then puts r* within delta + rho of r, so every point below r - 2 delta
     or above r + 2 delta lies more than rho from r*, and its computed F
-    has the sign of the true F there, which monotonicity gives."""
+    has the sign of the true F there, which monotonicity gives.  That
+    includes the bracket's lower end lo = (n+1/2)^2 when it lies below
+    r - 2 delta: sin(pi sqrt(lo)) = +-1 there, far from every cot pole, so
+    _refine_root takes F(lo) < 0 from the band instead of evaluating it."""
     r = _phase_scout(n, lo, hi, kappa, lam, parity)
     if r is None:
         return None
@@ -238,8 +242,10 @@ def _certified_band(n: int, lo: float, hi: float, kappa: float, lam: float,
 def _refine_root(lo: float, hi: float, kappa: float, lam: float, parity: Parity,
                  n: int) -> tuple[float, float, int, float]:
     """Safeguarded bisection+Newton inside the bracket [lo, hi] of pair n,
-    where hi is _upper_eval_point's point, so F(hi) > 0; BracketFailure
-    unless F(lo) < 0.
+    where hi is _upper_eval_point's point, so F(hi) > 0, and F(lo) < 0:
+    certified by the band when lo lies below it, else evaluated, with
+    BracketFailure unless it holds.  Only the sign of F(lo) is read, so
+    every point whose F is negative becomes the new lo.
 
     Bisection skips the evaluation of every midpoint outside the certified
     band, whose sign is known, except within a 1e-6 relative margin of the
@@ -248,20 +254,21 @@ def _refine_root(lo: float, hi: float, kappa: float, lam: float, parity: Parity,
     are those of plain bisection.  Returns (root, residual, iterations,
     dF/deps at the root); iterations count bracket halvings and Newton
     steps, not evaluations."""
-    f_lo, df_lo = _f_and_deriv(lo, kappa, lam, parity)
-    if f_lo == 0.0:
-        return lo, 0.0, 0, df_lo
-    if math.copysign(1.0, f_lo) > 0.0:
-        raise BracketFailure(f"no sign change for the {parity} condition", (lo, hi))
-
     band = _certified_band(n, lo, hi, kappa, lam, parity) if hi - lo > _BISECT_WIDTH else None
     below, above = band or (-math.inf, math.inf)
+    if not lo < below:
+        f_lo, df_lo = _f_and_deriv(lo, kappa, lam, parity)
+        if f_lo == 0.0:
+            return lo, 0.0, 0, df_lo
+        if math.copysign(1.0, f_lo) > 0.0:
+            raise BracketFailure(f"no sign change for the {parity} condition", (lo, hi))
+
     ceiling = (1.0 - _POLE_MARGIN) * (n + 1) ** 2
     iters = 0
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
         iters += 1
-        if mid < below:  # F(mid) < 0, the sign of f_lo
+        if mid < below:  # F(mid) < 0
             lo = mid
             continue
         if above < mid < ceiling:
@@ -270,8 +277,8 @@ def _refine_root(lo: float, hi: float, kappa: float, lam: float, parity: Parity,
         f_mid, df_mid = _f_and_deriv(mid, kappa, lam, parity)
         if f_mid == 0.0:
             return mid, 0.0, iters, df_mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
+        if math.copysign(1.0, f_mid) < 0.0:
+            lo = mid
         else:
             hi = mid
 
@@ -286,7 +293,7 @@ def _refine_root(lo: float, hi: float, kappa: float, lam: float, parity: Parity,
             x_new = 0.5 * (lo + hi)  # bisection fallback keeps the bracket
             step = x_new - x
         f_new, df_new = _f_and_deriv(x_new, kappa, lam, parity)
-        if math.copysign(1.0, f_new) == math.copysign(1.0, f_lo):
+        if math.copysign(1.0, f_new) < 0.0:
             lo = x_new
         else:
             hi = x_new
@@ -299,6 +306,28 @@ def _refine_root(lo: float, hi: float, kappa: float, lam: float, parity: Parity,
             return x_best, f_best, iters, df_best
     raise ConvergenceFailure(
         f"{parity} root did not converge in {_MAX_ITER} iterations (bracket [{lo}, {hi}])")
+
+
+def _threshold_root(lo: float, kappa: float, lam: float) -> tuple[float, float, int]:
+    """Even root of a top bracket (lo, kappa] too narrow for
+    _upper_eval_point to probe, as (root, residual |F|, halvings).
+    P+(sqrt(kappa)) > 0 whenever kappa > lo = (n+1/2)^2, so the root exists.
+    Plain bisection on the sign of F at the floats strictly inside the
+    bracket, never at kappa itself, where u = sqrt(kappa - eps) = 0 divides
+    dF/deps, narrows it to two adjacent floats and returns the upper one:
+    the last midpoint with F >= 0, else kappa, where h vanishes and F = g."""
+    s, _, cot = _cot(kappa)
+    hi, f_hi, iters = kappa, -s * cot, 0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        iters += 1
+        f_mid = _f_and_deriv(mid, kappa, lam, "even")[0]
+        if f_mid < 0.0:
+            lo = mid
+        else:
+            hi, f_hi = mid, f_mid
+        mid = 0.5 * (lo + hi)
+    return hi, abs(f_hi), iters
 
 
 def _pair_bracket(n: int, kappa: float) -> tuple[float, float, bool]:
@@ -331,8 +360,11 @@ def _upper_eval_point(lo: float, hi: float, capped_by_barrier: bool,
     Near a cot pole g -> +inf, so we only need to creep toward the pole
     until the sign flips.  When the barrier caps the bracket, the limit of
     the right-hand side at kappa^- (0 for tanh, 1/(pi lambda) for coth)
-    decides whether the root exists at all; None means the (odd) level was
-    pushed above the barrier."""
+    decides whether the root exists at all.  None means the odd level was
+    pushed above the barrier, or that a capped bracket is too narrow to
+    probe: narrower than about 5e8 ulp(kappa), so that the first probe,
+    1e-9 of the width below kappa, rounds onto kappa, or so narrow that
+    g(kappa) rounds to <= 0.  _threshold_root takes the even level there."""
     if capped_by_barrier and not _crosses_below_cap(kappa, lam, parity):
         return None
     width = hi - lo
@@ -386,11 +418,13 @@ def _solve_pair_diagnosed(
     scale = well.b_scale
 
     even_hi = _upper_eval_point(lo, hi, capped, kappa, lam, "even")
-    if even_hi is None:
-        raise BracketFailure(f"even condition has no sign change for pair {n}", (lo, hi))
-    eps_even, res_even, it_even, df_even = _refine_root(lo, even_hi, kappa, lam, "even", n)
+    if even_hi is None:  # the even root exists below the cap: a threshold well
+        eps_even, res_even, it_even = _threshold_root(lo, kappa, lam)
+        degenerate = False
+    else:
+        eps_even, res_even, it_even, df_even = _refine_root(lo, even_hi, kappa, lam, "even", n)
+        degenerate = _pair_unresolvable(eps_even, kappa, lam, df_even)
     even = EnergyLevel(2 * n, "even", eps_even, eps_even * scale)
-    degenerate = _pair_unresolvable(eps_even, kappa, lam, df_even)
     even_diag = LevelDiagnostics(2 * n, it_even, res_even, degenerate)
 
     odd_hi = _upper_eval_point(lo, hi, capped, kappa, lam, "odd")
@@ -419,9 +453,12 @@ def level_count(well: ScaledWell) -> int:
     """How many levels solve_below_barrier(well) returns, counted without
     solving: two per pair its loop guard admits, less the odd level of the
     top pair where the barrier caps that pair's bracket and the closed-form
-    test finds no odd root below the cap.  A solve that fails raises
-    instead; one that finds the top odd root indistinguishable from the
-    barrier top returns one level fewer."""
+    test finds no odd root below the cap.  A threshold well, kappa so
+    close above (n+1/2)^2 that _upper_eval_point cannot probe the top
+    bracket, counts 2n + 1: _threshold_root bisects its top even level,
+    and the closed-form test rejects its odd one.  A solve that fails
+    raises instead; one that finds the top odd root indistinguishable from
+    the barrier top returns one level fewer."""
     kappa = well.kappa
     if not _has_pair(0, kappa):
         return 0
@@ -459,16 +496,14 @@ def solve_below_barrier(well: ScaledWell, pairs: float = math.inf) -> SpectrumRe
     return SpectrumResult(tuple(levels), well, tuple(report))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     name: str
     holds: bool
     margin: float
     applicable: bool = True
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     checks: tuple[BoundCheck, ...]
 
     @property
@@ -536,8 +571,7 @@ def verify_bounds(result: SpectrumResult) -> BoundReport:
     return BoundReport(tuple(checks))
 
 
-@dataclass(frozen=True)
-class Gap01:
+class Gap01(NamedTuple):
     """Tunneling splitting E1 - E0 and the oscillation period 2 pi hbar / dE."""
 
     delta_e: float
@@ -566,8 +600,7 @@ def gap01(result: SpectrumResult) -> Gap01:
     return Gap01(delta, tau)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     b: float
     e0: float
     e1: float
@@ -592,8 +625,7 @@ def gap_sweep(template: WellSpec, b_values: list[float]) -> tuple[SweepRow, ...]
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class GapSearchResult:
+class GapSearchResult(NamedTuple):
     """Smallest grid b with E1 - E0 < delta, plus the ground-level
     cotangent certificate cot^2(pi sqrt(eps0)) < 4 kappa - 1."""
 

@@ -76,6 +76,15 @@ def test_walk_is_bit_identical_to_plain_bisection(well, monkeypatch):
         assert calls[0] < 0.4 * plain_calls  # the walk skips most evaluations
 
 
+def test_certified_band_gives_the_sign_at_the_lower_end(monkeypatch):
+    # kappa = 1e4, lambda = 0.1: 200 levels.  The band also certifies
+    # F((n+1/2)^2) < 0, so no root evaluates F at its bracket's lower end;
+    # evaluating it there would cost one call per level, 1897 in all
+    calls = _counted(monkeypatch)
+    assert len(solve_below_barrier(ScaledWell(1e4, 0.1)).levels) == 200
+    assert calls[0] == 1697
+
+
 def _delta(r: float) -> float:
     return spectrum._BAND_ULPS * math.ulp(r) + spectrum._BAND_ABS
 

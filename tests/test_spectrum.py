@@ -23,7 +23,8 @@ from dwell.errors import (
     NotReached,
     PoleCollision,
 )
-from dwell.spectrum import (EnergyLevel, LevelDiagnostics, SpectrumResult, _cot, _f_and_deriv,
+from dwell.spectrum import (BoundCheck, BoundReport, EnergyLevel, Gap01, GapSearchResult,
+                            LevelDiagnostics, SpectrumResult, SweepRow, _cot, _f_and_deriv,
                             _refine_root, level_count)
 
 # frozen from an independent 50-digit evaluation
@@ -93,6 +94,27 @@ def test_spectrum_result_ties_only_the_members_of_a_flagged_pair():
         SpectrumResult(levels, ScaledWell(40.0, 0.8), report)
     tied = levels[:1] + (EnergyLevel(1, "odd", 0.95, math.nan),) + levels[2:]
     assert SpectrumResult(tied, ScaledWell(40.0, 0.8), report).eps_values == (0.9, 0.95, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("record", [
+    EnergyLevel(0, "even", 0.9, 5.4e-26),
+    LevelDiagnostics(0, 7, 1e-14, False),
+    BoundCheck("window: eps0 > 1/4", True, 0.65),
+    BoundReport((BoundCheck("window: eps0 > 1/4", True, 0.65),)),
+    Gap01(6.3e-28, 1.05e-6),
+    SweepRow(1e-7, 5.4e-26, 5.5e-26, 6.3e-28, 1.05e-6),
+    GapSearchResult(2e-7, 1e-29, 0.9, 0.9, 0.1, 131.0, True, 3),
+], ids=lambda record: type(record).__name__)
+def test_records_are_immutable_and_compare_field_by_field(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        assert record._replace(**{name: object()}) != record
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    copy = type(record)(**{name: getattr(record, name) for name in record._fields})
+    assert copy == record and hash(copy) == hash(record)
+    assert record == tuple(record)  # a record is a tuple: iterable, indexable, equal to one
 
 
 def test_solve_pair_reference_row(table_well):
@@ -254,7 +276,8 @@ def test_shallow_well_without_odd_level_raises_bracket_failure_everywhere(table_
 def _count_probe_wells():
     """Seeded wells over kappa in [0.2, 3000] and lambda in [1e-3, 3], a
     third of them with kappa just below a square, where the barrier caps the
-    top pair and its odd level may be missing."""
+    top pair and its odd level may be missing, and threshold wells 1, 2 and
+    8 ulp above (n+1/2)^2, whose top pair keeps only its even level."""
     rng = np.random.default_rng(22)
     wells = []
     for i in range(240):
@@ -262,6 +285,9 @@ def _count_probe_wells():
         if i % 3 == 0:
             kappa = math.ceil(math.sqrt(kappa)) ** 2 * (1.0 - 10.0 ** rng.uniform(-6.0, -1.0))
         wells.append(ScaledWell(float(kappa), float(10.0 ** rng.uniform(-3.0, 0.5))))
+    for n, lam in ((0, 0.3), (3, 0.01), (17, 1.0), (40, 0.1)):
+        lo = (n + 0.5) ** 2
+        wells += [ScaledWell(lo + k * math.ulp(lo), lam) for k in (1, 2, 8)]
     return wells
 
 
@@ -404,16 +430,50 @@ def test_gap_sweep_lets_programming_errors_out(table_well, monkeypatch):
         gap_sweep(table_well, [1e-7])
 
 
+def _level_bits(result):
+    report = {d.index: d for d in result.solver_report}
+    return [(lv.index, lv.parity, lv.eps.hex(), report[lv.index]) for lv in result.levels]
+
+
+def _threshold_well(n: int, k: int) -> tuple[float, ScaledWell]:
+    # kappa k ulp above (n+1/2)^2: the top pair's bracket is k ulp wide
+    lo = (n + 0.5) ** 2
+    return lo, ScaledWell(lo + k * math.ulp(lo), 0.1)
+
+
 @pytest.mark.parametrize("k", [1, 2, 8])
-@pytest.mark.parametrize("n", [0, 1, 4])
-def test_threshold_kappa_raises_bracket_failure(n, k):
-    # kappa a few ulp above (n+1/2)^2: the top pair's bracket is a few ulp wide
-    kappa = (n + 0.5) ** 2
-    for _ in range(k):
-        kappa = math.nextafter(kappa, math.inf)
-    with pytest.raises(BracketFailure) as info:
-        solve_below_barrier(ScaledWell(kappa, 0.1))
-    assert info.value.pair_index == n
+@pytest.mark.parametrize("n", [0, 1, 4, 20])
+def test_threshold_well_keeps_its_solved_pairs(n, k):
+    # the top bracket is too narrow for _upper_eval_point's probe, so its
+    # even level is bisected over the floats inside it
+    lo, well = _threshold_well(n, k)
+    result = solve_below_barrier(well)
+    assert [level.index for level in result.levels] == list(range(2 * n + 1))
+    assert _level_bits(result)[:2 * n] == _level_bits(solve_below_barrier(well, n))
+    assert lo < result.levels[-1].eps <= well.kappa
+    assert verify_bounds(result).all_hold
+
+
+@pytest.mark.parametrize("k", [8, 10**6, 4 * 10**8])
+def test_threshold_level_is_the_root_to_a_few_ulp(k):
+    # the probe rounds onto kappa in top brackets up to about 5e8 ulp wide,
+    # where the bracket's midpoint would miss the root by up to half of that
+    mp = pytest.importorskip("mpmath").mp
+    lo, well = _threshold_well(20, k)
+    with mp.workdps(50):
+        kappa, lam = mp.mpf(well.kappa), mp.mpf(well.lam)
+
+        def f(eps):
+            u = mp.sqrt(kappa - eps)
+            return -mp.sqrt(eps) * mp.cot(mp.pi * mp.sqrt(eps)) - u * mp.tanh(mp.pi * lam * u)
+
+        below, above = mp.mpf(lo), kappa
+        for _ in range(200):
+            mid = (below + above) / 2
+            below, above = (mid, above) if f(mid) < 0 else (below, mid)
+        root = float(below)
+    level = solve_below_barrier(well).levels[-1]
+    assert abs(level.eps - root) <= 4 * math.ulp(lo)
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
