@@ -31,6 +31,12 @@ The bracket, and so every level bit, is that of plain bisection, which
 runs instead whenever the scout or its certificate fails.  The reported
 iterations count bracket halvings and Newton steps, not evaluations of F.
 
+A flat pair, one whose bracket top is the cot pole with x = pi lambda u >=
+_FLAT_X there, solves once: tanh, coth and both T + x T' round to 1.0 at
+every point of its bracket, so the odd path would repeat the even one
+float for float.  The odd level copies the even root and its diagnostics,
+degenerate flag included, which the pair has since coth - tanh rounds to 0.
+
 A pair whose even/odd splitting float64 cannot resolve is flagged by
 LevelDiagnostics.degenerate_pair, set once per pair by the solver; that
 flag is the one definition of a degenerate pair.  gap01, the one check of
@@ -84,6 +90,8 @@ _BAND_ABS = 1e-11
 _POLE_MARGIN = 1e-6
 _SCOUT_ITER = 40
 _SCOUT_TOL = 1e-12
+# from x = pi lambda u ~ 20.93 on, tanh, coth and T + x T' all round to 1.0
+_FLAT_X = 22.0
 _GAP_GRID_RATIO = 2.0 ** 0.125  # find_b_for_gap's geometric step in b
 _GAP_CAP = 100.0  # find_b_for_gap stops past b = _GAP_CAP * a
 
@@ -426,6 +434,10 @@ def _solve_pair_diagnosed(
         degenerate = _pair_unresolvable(eps_even, kappa, lam, df_even)
     even = EnergyLevel(2 * n, "even", eps_even, eps_even * scale)
     even_diag = LevelDiagnostics(2 * n, it_even, res_even, degenerate)
+    if not capped and math.pi * lam * math.sqrt(kappa - hi) >= _FLAT_X:
+        # x >= _FLAT_X on the whole bracket: the odd solve would repeat the even one bit for bit
+        return (even, even_diag, even._replace(index=2 * n + 1, parity="odd"),
+                even_diag._replace(index=2 * n + 1))
 
     odd_hi = _upper_eval_point(lo, hi, capped, kappa, lam, "odd")
     if odd_hi is None:

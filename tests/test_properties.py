@@ -27,7 +27,7 @@ from dwell import (  # noqa: E402
 )
 from dwell.cli import _COMMANDS, _OPTIONS, main  # noqa: E402
 from dwell.errors import DwellError  # noqa: E402
-from dwell.spectrum import level_count  # noqa: E402
+from dwell.spectrum import _FLAT_X, level_count  # noqa: E402
 
 
 def _ulps_above(x: float, k: int) -> float:
@@ -37,7 +37,7 @@ def _ulps_above(x: float, k: int) -> float:
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-@given(kappa=st.floats(math.log(0.25), math.log(1e4)).map(math.exp),
+@given(kappa=st.floats(math.log(0.25), math.log(1e6)).map(math.exp),
        lam=st.floats(-320.0, 2.0).map(lambda p: 10.0 ** p))
 @example(kappa=_ulps_above(0.25, 1), lam=1.0)
 @example(kappa=_ulps_above(2.25, 1), lam=0.1)
@@ -56,6 +56,13 @@ def test_every_well_solves_within_bounds_or_raises_a_dwell_error(kappa, lam):
     assert isinstance(result, SpectrumResult)
     assert verify_bounds(result).all_hold
     assert len(result.levels) == level_count(ScaledWell(kappa, lam))  # the CLI's count
+    # a flat pair (bracket top at the cot pole, x >= _FLAT_X there) copies its even root
+    levels = {level.index: level for level in result.levels}
+    report = {d.index: d for d in result.solver_report}
+    for n in range(len(result.levels) // 2):
+        if (n + 1) ** 2 < kappa and math.pi * lam * math.sqrt(kappa - (n + 1) ** 2) >= _FLAT_X:
+            assert levels[2 * n + 1].eps == levels[2 * n].eps
+            assert report[2 * n + 1][1:] == report[2 * n][1:]
 
 
 @functools.cache
